@@ -205,19 +205,27 @@ impl LiteHandle {
     // syscall model
     // ------------------------------------------------------------------
 
-    fn enter(&self, ctx: &mut Ctx) {
+    /// Runs `body` as one simulated system call (§5.2). A user-level
+    /// handle pays the entry crossing and — whatever `body` returns,
+    /// errors included — the return path; kernel-level handles pay
+    /// neither.
+    fn syscall<T>(
+        &mut self,
+        ctx: &mut Ctx,
+        body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        let crossing = self.kernel.config.syscall_crossing_ns;
         if self.user_level {
-            ctx.work(self.kernel.config.syscall_crossing_ns);
+            ctx.work(crossing);
         }
-    }
-
-    fn exit(&self, ctx: &mut Ctx) {
+        let out = body(self, ctx);
         // With the §5.2 optimizations the return path is observed through
         // the shared page — no further crossing. The ablation restores
         // the full syscall return plus a re-entry to fetch results.
         if self.user_level && !self.kernel.config.fast_syscalls {
-            ctx.work(2 * self.kernel.config.syscall_crossing_ns);
+            ctx.work(2 * crossing);
         }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -355,6 +363,38 @@ impl LiteHandle {
         }
     }
 
+    /// Allocates `len` bytes on `target` through its kernel allocator
+    /// (`FN_MALLOC`); returns the landed chunks.
+    pub(crate) fn alloc_chunks(
+        &mut self,
+        ctx: &mut Ctx,
+        target: NodeId,
+        len: u64,
+    ) -> LiteResult<Vec<Chunk>> {
+        let max_chunk = self.kernel.config.max_lmr_chunk;
+        let resp = self.kcall(
+            ctx,
+            target,
+            FN_MALLOC,
+            Enc::new().u64(len).u64(max_chunk).done(),
+        )?;
+        Dec::new(&resp).chunks()
+    }
+
+    /// Frees the chunks starting at `addrs` on `node` (`FN_FREE_CHUNKS`).
+    pub(crate) fn free_chunks(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        addrs: impl ExactSizeIterator<Item = u64>,
+    ) -> LiteResult<()> {
+        let mut e = Enc::new().u32(addrs.len() as u32);
+        for a in addrs {
+            e = e.u64(a);
+        }
+        self.kcall(ctx, node, FN_FREE_CHUNKS, e.done()).map(|_| ())
+    }
+
     // ------------------------------------------------------------------
     // Memory API
     // ------------------------------------------------------------------
@@ -369,159 +409,110 @@ impl LiteHandle {
         name: &str,
         default_perm: Perm,
     ) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let reg_started = ctx.now();
-        let max_chunk = self.kernel.config.max_lmr_chunk;
-        let resp = self.kcall(
-            ctx,
-            target,
-            FN_MALLOC,
-            Enc::new().u64(size).u64(max_chunk).done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((target, Chunk { addr, len }));
-        }
-        let location = Location { extents };
-        let id = self.kernel.create_master_record(
-            location.clone(),
-            Some(name.to_string()),
-            default_perm,
-        );
-        // Register the name with the cluster manager; roll back on clash.
-        let reg = self.kcall(
-            ctx,
-            MANAGER_NODE,
-            FN_REGNAME,
-            Enc::new()
+        self.syscall(ctx, |this, ctx| {
+            let reg_started = ctx.now();
+            let chunks = this.alloc_chunks(ctx, target, size)?;
+            let location = Location {
+                extents: chunks.into_iter().map(|c| (target, c)).collect(),
+            };
+            let id = this.kernel.create_master_record(
+                location.clone(),
+                Some(name.to_string()),
+                default_perm,
+            );
+            // Register the name with the cluster manager; roll back on clash.
+            let binding = Enc::new()
                 .bytes(name.as_bytes())
-                .u32(self.kernel.node() as u32)
-                .done(),
-        );
-        if let Err(e) = reg {
-            self.kernel.remove_master_record(id.idx);
-            // The registration may have landed with only its reply lost;
-            // best-effort guarded scrub so a half-registered name cannot
-            // outlive the record it pointed at. A clean name clash
-            // (Remote(1)) means someone else owns the binding — the
-            // guard makes scrubbing it a no-op either way.
-            if !matches!(e, LiteError::Remote(1)) {
-                let _ = self.kcall(
-                    ctx,
-                    MANAGER_NODE,
-                    FN_UNREGNAME,
-                    Enc::new()
-                        .bytes(name.as_bytes())
-                        .u32(self.kernel.node() as u32)
-                        .done(),
-                );
-            }
-            let mut free = Enc::new().u32(location.extents.len() as u32);
-            for (_, c) in &location.extents {
-                free = free.u64(c.addr);
-            }
-            if self
-                .kcall(ctx, target, FN_FREE_CHUNKS, free.done())
-                .is_err()
-            {
-                // Rollback failed: the chunks on `target` are leaked.
-                // Count it and trace it instead of swallowing it.
-                self.kernel.note_cleanup_failure(target, ctx.now());
-            }
-            let mapped = matches!(e, LiteError::Remote(1));
-            self.exit(ctx);
-            return Err(if mapped {
-                LiteError::NameExists {
-                    name: name.to_string(),
+                .u32(this.kernel.node() as u32)
+                .done();
+            if let Err(e) = this.kcall(ctx, MANAGER_NODE, FN_REGNAME, binding.clone()) {
+                this.kernel.remove_master_record(id.idx);
+                // The registration may have landed with only its reply lost;
+                // best-effort guarded scrub so a half-registered name cannot
+                // outlive the record it pointed at. A clean name clash
+                // (Remote(1)) means someone else owns the binding — the
+                // guard makes scrubbing it a no-op either way.
+                let clash = matches!(e, LiteError::Remote(1));
+                if !clash {
+                    let _ = this.kcall(ctx, MANAGER_NODE, FN_UNREGNAME, binding);
                 }
-            } else {
-                e
-            });
-        }
-        let lh = self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: name.to_string(),
-                location,
-                perm: Perm::MASTER,
-                stale: false,
-                relocated: false,
-            },
-        );
-        self.kernel
-            .mm()
-            .record_reg_latency(ctx.now().saturating_sub(reg_started));
-        self.exit(ctx);
-        Ok(lh)
+                let addrs = location.extents.iter().map(|(_, c)| c.addr);
+                if this.free_chunks(ctx, target, addrs).is_err() {
+                    // Rollback failed: the chunks on `target` are leaked.
+                    // Count it and trace it instead of swallowing it.
+                    this.kernel.note_cleanup_failure(target, ctx.now());
+                }
+                return Err(if clash {
+                    LiteError::NameExists {
+                        name: name.to_string(),
+                    }
+                } else {
+                    e
+                });
+            }
+            let entry = LhEntry::new(id, name.to_string(), location, Perm::MASTER);
+            let lh = this.kernel.install_lh(this.pid, entry);
+            this.kernel
+                .mm()
+                .record_reg_latency(ctx.now().saturating_sub(reg_started));
+            Ok(lh)
+        })
     }
 
     /// LT_map: acquires an lh for a named LMR (manager lookup + master
     /// map, §4.1).
     pub fn lt_map(&mut self, ctx: &mut Ctx, name: &str) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let resp = self
-            .kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_QUERYNAME,
-                Enc::new().bytes(name.as_bytes()).done(),
-            )
-            .map_err(|e| named_err(e, name))?;
-        let mut d = Dec::new(&resp);
-        let master = d.u32()? as NodeId;
-        let lh = self.map_at(ctx, name, master)?;
-        self.exit(ctx);
-        Ok(lh)
+        self.syscall(ctx, |this, ctx| {
+            let resp = this
+                .kcall(
+                    ctx,
+                    MANAGER_NODE,
+                    FN_QUERYNAME,
+                    Enc::new().bytes(name.as_bytes()).done(),
+                )
+                .map_err(|e| named_err(e, name))?;
+            let master = Dec::new(&resp).u32()? as NodeId;
+            this.map_at(ctx, name, master)
+        })
     }
 
     /// LT_map with a known master node (the paper's
     /// `LT_map(name, master)` form) — skips the manager lookup.
     pub fn lt_map_at(&mut self, ctx: &mut Ctx, name: &str, master: NodeId) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let lh = self.map_at(ctx, name, master)?;
-        self.exit(ctx);
-        Ok(lh)
+        self.syscall(ctx, |this, ctx| this.map_at(ctx, name, master))
     }
 
     fn map_at(&mut self, ctx: &mut Ctx, name: &str, master: NodeId) -> LiteResult<Lh> {
-        let resp = self
-            .kcall(
-                ctx,
-                master,
-                FN_MAP,
-                Enc::new().bytes(name.as_bytes()).done(),
-            )
+        let (id, perm, location) = self
+            .fetch_map(ctx, master, name)
             .map_err(|e| named_err(e, name))?;
+        let entry = LhEntry::new(id, name.to_string(), location, perm);
+        Ok(self.kernel.install_lh(self.pid, entry))
+    }
+
+    /// Asks `master` to map the LMR `name` for this node (`FN_MAP`);
+    /// returns its identity, the permission granted to this node, and
+    /// its current location.
+    fn fetch_map(
+        &mut self,
+        ctx: &mut Ctx,
+        master: NodeId,
+        name: &str,
+    ) -> LiteResult<(LmrId, Perm, Location)> {
+        let resp = self.kcall(
+            ctx,
+            master,
+            FN_MAP,
+            Enc::new().bytes(name.as_bytes()).done(),
+        )?;
         let mut d = Dec::new(&resp);
         let id = LmrId {
             node: d.u32()?,
             idx: d.u32()?,
         };
         let perm = crate::kernel::byte_to_perm(d.u8()?);
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        Ok(self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: name.to_string(),
-                location: Location { extents },
-                perm,
-                stale: false,
-                relocated: false,
-            },
-        ))
+        let extents = d.extents()?;
+        Ok((id, perm, Location { extents }))
     }
 
     /// Transparently refreshes an lh whose cached location went stale
@@ -532,54 +523,68 @@ impl LiteHandle {
     /// master handle to the granted perm.
     fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
         let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let resp = self
-            .kcall(
-                ctx,
-                entry.id.node as NodeId,
-                FN_MAP,
-                Enc::new().bytes(entry.name.as_bytes()).done(),
-            )
+        let (id, _granted, location) = self
+            .fetch_map(ctx, entry.id.node as NodeId, &entry.name)
             .map_err(|e| match e {
                 // The LMR vanished while we held a relocated handle: the
                 // handle is dead, not merely stale.
                 LiteError::NameNotFound { .. } => LiteError::BadLh { lh },
                 other => other,
             })?;
-        let mut d = Dec::new(&resp);
-        let id = LmrId {
-            node: d.u32()?,
-            idx: d.u32()?,
-        };
-        let _granted = d.u8()?;
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        self.kernel.reinstall_lh(
-            self.pid,
-            lh,
-            LhEntry {
-                id,
-                name: entry.name,
-                location: Location { extents },
-                perm: entry.perm,
-                stale: false,
-                relocated: false,
-            },
-        );
+        let fresh = LhEntry::new(id, entry.name, location, entry.perm);
+        self.kernel.reinstall_lh(self.pid, lh, fresh);
         Ok(())
+    }
+
+    /// The one access path of the memory API (§4): looks up and checks
+    /// every range — `len` bytes at `offset` in the LMR behind `lh`,
+    /// needing `perm` — and hands the entries and their physical pieces
+    /// to `op`. `op` fences the pieces itself: one-sided ops pin them
+    /// locally ([`Self::pin_pieces`]); `FN_MEMSET`/`FN_MEMCPY` pin at the
+    /// remote handler.
+    ///
+    /// On `Err(Relocated)` from a check or from `op`, every range's lh is
+    /// refreshed from its master and the access is redone, at most 3
+    /// attempts; any other result is final. A redo is safe because
+    /// `Relocated` is only ever returned before a side effect: by
+    /// `check`, by a pin taken before the first byte is posted, or by a
+    /// remote handler whose no-wait pin failed before it touched memory
+    /// (pieces an earlier call already wrote are rewritten idempotently).
+    fn access<T>(
+        &mut self,
+        ctx: &mut Ctx,
+        ranges: &[(Lh, u64, usize, Perm)],
+        mut op: impl FnMut(&mut Self, &mut Ctx, &[Checked]) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        let mut result = Err(LiteError::Relocated);
+        for attempt in 0..3 {
+            if attempt > 0 {
+                for &(lh, ..) in ranges {
+                    self.refresh_lh(ctx, lh)?;
+                }
+            }
+            let checked = ranges
+                .iter()
+                .map(|&(lh, offset, len, perm)| {
+                    let entry = self.kernel.lookup_lh(self.pid, lh)?;
+                    let pieces = entry.check(offset, len, perm)?;
+                    Ok(Checked { entry, pieces })
+                })
+                .collect::<LiteResult<Vec<_>>>();
+            result = checked.and_then(|checked| op(self, ctx, &checked));
+            if !matches!(result, Err(LiteError::Relocated)) {
+                break;
+            }
+        }
+        result
     }
 
     /// Pins every piece at its storage node's memory manager before a
     /// one-sided access, so eviction cannot pull the chunks out from
     /// under the in-flight op. The pin verifies piece identity (LMR id +
     /// byte offset), closing the window where a cached location points
-    /// at freed-and-recycled memory. `Err(Relocated)` means the caller
-    /// should refresh the lh and retry; no side effect has happened yet.
+    /// at freed-and-recycled memory. `Err(Relocated)` happens before any
+    /// side effect, so [`Self::access`] may refresh the lh and retry.
     ///
     /// Under lazy pinning this is also where memory becomes real: pages
     /// never touched before fault in here (the simulated NIC page
@@ -616,85 +621,91 @@ impl LiteHandle {
 
     /// LT_unmap: drops the lh and tells the master.
     pub fn lt_unmap(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.remove_lh(self.pid, lh)?;
-        let _ = self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_UNMAP,
-            Enc::new()
-                .u32(entry.id.idx)
-                .u32(self.kernel.node() as u32)
-                .done(),
-        );
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.kernel.remove_lh(this.pid, lh)?;
+            let _ = this.kcall(
+                ctx,
+                entry.id.node as NodeId,
+                FN_UNMAP,
+                Enc::new()
+                    .u32(entry.id.idx)
+                    .u32(this.kernel.node() as u32)
+                    .done(),
+            );
+            Ok(())
+        })
+    }
+
+    /// The entry behind `lh`, which must carry master rights.
+    fn master_entry(&self, lh: Lh) -> LiteResult<LhEntry> {
+        let entry = self.kernel.lookup_lh(self.pid, lh)?;
+        if !entry.perm.master {
+            return Err(LiteError::NotMaster);
+        }
+        Ok(entry)
     }
 
     /// LT_free: frees the LMR everywhere and invalidates every mapper.
     /// Requires a master lh.
     pub fn lt_free(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        let resp = self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_TAKE_RECORD,
-            Enc::new().bytes(entry.name.as_bytes()).done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let id = LmrId {
-            node: d.u32()?,
-            idx: d.u32()?,
-        };
-        let n = d.u32()?;
-        let mut extents: Vec<(NodeId, Chunk)> = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        let m = d.u32()?;
-        let mut mapped = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            mapped.push(d.u32()? as NodeId);
-        }
-        // Scrub the name binding *now*, immediately after the record was
-        // taken — before the fallible chunk frees below. The old
-        // ordering (unregister last) leaked the binding whenever a free
-        // failed mid-way: the record was gone but the name stayed,
-        // pointing at a master that would answer "unknown" forever and
-        // blocking re-registration. The trailing u32 guards the scrub:
-        // the manager only removes the binding if it still names this
-        // master, so a name freed and re-registered by someone else in
-        // the meantime is left alone.
-        let _ = self.kcall(
-            ctx,
-            MANAGER_NODE,
-            FN_UNREGNAME,
-            Enc::new()
-                .bytes(entry.name.as_bytes())
-                .u32(entry.id.node)
-                .done(),
-        );
-        // Free storage per node.
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.master_entry(lh)?;
+            let resp = this.kcall(
+                ctx,
+                entry.id.node as NodeId,
+                FN_TAKE_RECORD,
+                Enc::new().bytes(entry.name.as_bytes()).done(),
+            )?;
+            let mut d = Dec::new(&resp);
+            let id = LmrId {
+                node: d.u32()?,
+                idx: d.u32()?,
+            };
+            let extents = d.extents()?;
+            let mapped = (0..d.u32()?)
+                .map(|_| d.u32().map(|n| n as NodeId))
+                .collect::<LiteResult<Vec<_>>>()?;
+            // Scrub the name binding *now*, immediately after the record was
+            // taken — before the fallible chunk frees below. The old
+            // ordering (unregister last) leaked the binding whenever a free
+            // failed mid-way: the record was gone but the name stayed,
+            // pointing at a master that would answer "unknown" forever and
+            // blocking re-registration. The trailing u32 guards the scrub:
+            // the manager only removes the binding if it still names this
+            // master, so a name freed and re-registered by someone else in
+            // the meantime is left alone.
+            let _ = this.kcall(
+                ctx,
+                MANAGER_NODE,
+                FN_UNREGNAME,
+                Enc::new()
+                    .bytes(entry.name.as_bytes())
+                    .u32(entry.id.node)
+                    .done(),
+            );
+            this.release_storage(ctx, id, &extents, mapped)?;
+            let _ = this.kernel.remove_lh(this.pid, lh);
+            Ok(())
+        })
+    }
+
+    /// Frees an LMR's old storage, one `FN_FREE_CHUNKS` per storage node,
+    /// then invalidates every mapper of `id` (including ourselves, via
+    /// loop-back) so their next access fails fast.
+    fn release_storage(
+        &mut self,
+        ctx: &mut Ctx,
+        id: LmrId,
+        extents: &[(NodeId, Chunk)],
+        mapped: Vec<NodeId>,
+    ) -> LiteResult<()> {
         let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-        for (node, c) in &extents {
+        for (node, c) in extents {
             by_node.entry(*node).or_default().push(c.addr);
         }
         for (node, addrs) in by_node {
-            let mut e = Enc::new().u32(addrs.len() as u32);
-            for a in addrs {
-                e = e.u64(a);
-            }
-            self.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
+            self.free_chunks(ctx, node, addrs.into_iter())?;
         }
-        // Invalidate every mapper (including ourselves, via loop-back).
         for node in mapped {
             let _ = self.kcall(
                 ctx,
@@ -703,9 +714,27 @@ impl LiteHandle {
                 Enc::new().u32(id.node).u32(id.idx).done(),
             );
         }
-        let _ = self.kernel.remove_lh(self.pid, lh);
-        self.exit(ctx);
         Ok(())
+    }
+
+    /// Copies one segment: the source's storage node pushes `len` bytes
+    /// to the destination — locally if co-located, with a one-sided write
+    /// otherwise (§7.1). The remote handler fences both ranges.
+    fn copy_segment(&mut self, ctx: &mut Ctx, s: &Segment) -> LiteResult<()> {
+        let op = if s.src_node == s.dst_node { 0u8 } else { 1u8 };
+        self.kcall(
+            ctx,
+            s.src_node,
+            FN_MEMCPY,
+            Enc::new()
+                .u8(op)
+                .u64(s.src)
+                .u64(s.len)
+                .u32(s.dst_node as u32)
+                .u64(s.dst)
+                .done(),
+        )
+        .map(|_| ())
     }
 
     /// LT_move (§4.1 master role): migrates the LMR's bytes to `target`
@@ -714,203 +743,87 @@ impl LiteHandle {
     /// Requires a master lh, and (in this implementation) must run on the
     /// LMR's record-holder node.
     pub fn lt_move(&mut self, ctx: &mut Ctx, lh: Lh, target: NodeId) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        if entry.id.node as NodeId != self.kernel.node() {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        let len = entry.location.len();
-        // Allocate at the target.
-        let resp = self.kcall(
-            ctx,
-            target,
-            FN_MALLOC,
-            Enc::new()
-                .u64(len)
-                .u64(self.kernel.config.max_lmr_chunk)
-                .done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let n = d.u32()?;
-        let mut new_extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let addr = d.u64()?;
-            let clen = d.u64()?;
-            new_extents.push((target, Chunk { addr, len: clen }));
-        }
-        let new_loc = Location {
-            extents: new_extents,
-        };
-        // Copy the bytes: each source piece pushed by its storage node.
-        let src_pieces = entry.location.slice(0, len)?;
-        let dst_pieces = new_loc.slice(0, len)?;
-        let (mut si, mut di) = (0usize, 0usize);
-        let (mut s_used, mut d_used) = (0u64, 0u64);
-        let mut remaining = len;
-        while remaining > 0 {
-            let (s_node, s_c) = &src_pieces[si];
-            let (d_node, d_c) = &dst_pieces[di];
-            let nbytes = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-            let op = if s_node == d_node { 0u8 } else { 1u8 };
-            self.kcall(
-                ctx,
-                *s_node,
-                FN_MEMCPY,
-                Enc::new()
-                    .u8(op)
-                    .u64(s_c.addr + s_used)
-                    .u64(nbytes)
-                    .u32(*d_node as u32)
-                    .u64(d_c.addr + d_used)
-                    .done(),
-            )?;
-            s_used += nbytes;
-            d_used += nbytes;
-            remaining -= nbytes;
-            if s_used == s_c.len {
-                si += 1;
-                s_used = 0;
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.master_entry(lh)?;
+            if entry.id.node as NodeId != this.kernel.node() {
+                return Err(LiteError::NotMaster);
             }
-            if d_used == d_c.len {
-                di += 1;
-                d_used = 0;
+            let len = entry.location.len();
+            let chunks = this.alloc_chunks(ctx, target, len)?;
+            let new_loc = Location {
+                extents: chunks.into_iter().map(|c| (target, c)).collect(),
+            };
+            let src_pieces = entry.location.slice(0, len)?;
+            for seg in segments(&src_pieces, &new_loc.slice(0, len)?) {
+                this.copy_segment(ctx, &seg)?;
             }
-        }
-        // Swap the record, free the old storage, invalidate mappers.
-        let Some((id, old_loc, mapped)) =
-            self.kernel
-                .swap_master_location(&entry.name, self.kernel.node(), new_loc.clone())
-        else {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        };
-        let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-        for (node, c) in &old_loc.extents {
-            by_node.entry(*node).or_default().push(c.addr);
-        }
-        for (node, addrs) in by_node {
-            let mut e = Enc::new().u32(addrs.len() as u32);
-            for a in addrs {
-                e = e.u64(a);
-            }
-            self.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
-        }
-        for node in mapped {
-            let _ = self.kcall(
-                ctx,
-                node,
-                FN_INVALIDATE,
-                Enc::new().u32(id.node).u32(id.idx).done(),
-            );
-        }
-        // Re-install our own (fresh) lh in place.
-        self.kernel.remove_lh(self.pid, lh).ok();
-        let new_lh = self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: entry.name.clone(),
-                location: new_loc,
-                perm: Perm::MASTER,
-                stale: false,
-                relocated: false,
-            },
-        );
-        // Keep the caller's lh number stable by aliasing: re-register the
-        // fresh entry under the original lh id as well.
-        let fresh = self.kernel.lookup_lh(self.pid, new_lh)?;
-        self.kernel.reinstall_lh(self.pid, lh, fresh);
-        self.kernel.remove_lh(self.pid, new_lh).ok();
-        self.exit(ctx);
-        Ok(())
+            // Swap the record, free the old storage, invalidate mappers.
+            let me = this.kernel.node();
+            let Some((id, old_loc, mapped)) =
+                this.kernel
+                    .swap_master_location(&entry.name, me, new_loc.clone())
+            else {
+                return Err(LiteError::NotMaster);
+            };
+            this.release_storage(ctx, id, &old_loc.extents, mapped)?;
+            // Our own lh keeps its number and points at the new home.
+            let fresh = LhEntry::new(id, entry.name, new_loc, Perm::MASTER);
+            this.kernel.reinstall_lh(this.pid, lh, fresh);
+            Ok(())
+        })
     }
 
     /// Grants `perm` on a named LMR to `node` (master only).
     pub fn lt_grant(&mut self, ctx: &mut Ctx, lh: Lh, node: NodeId, perm: Perm) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_GRANT,
-            Enc::new()
-                .bytes(entry.name.as_bytes())
-                .u32(node as u32)
-                .u8(perm_to_byte(perm))
-                .done(),
-        )?;
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.master_entry(lh)?;
+            this.kcall(
+                ctx,
+                entry.id.node as NodeId,
+                FN_GRANT,
+                Enc::new()
+                    .bytes(entry.name.as_bytes())
+                    .u32(node as u32)
+                    .u8(perm_to_byte(perm))
+                    .done(),
+            )
+            .map(|_| ())
+        })
     }
 
     /// LT_write: blocking one-sided write of `data` at `offset` in the
     /// LMR. Returns when the data is remotely visible (§4.2).
     pub fn lt_write(&mut self, ctx: &mut Ctx, lh: Lh, offset: u64, data: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
-        // Lookup/permission/bounds failures return before any side
-        // effect and are not recorded in the history (a no-effect op
-        // adds no constraint); failures past this point may have
-        // partially applied and are recorded as failed writes.
-        let start = ctx.now();
-        let mut entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                // The location moved under tiering: re-fetch it from the
-                // master and redo the access against the fresh pieces.
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-                entry = self.kernel.lookup_lh(self.pid, lh)?;
-            }
-            let pieces = match entry.check(offset, data.len(), Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Pins are taken before any byte is posted, so a Relocated
-            // here (or from check) retries with zero side effects.
-            let _pins = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.write_pieces(ctx, &pieces, data);
-            break;
-        }
-        self.record_hist(
-            crate::verify::Key::Reg {
-                node: entry.id.node,
-                idx: entry.id.idx,
-                offset,
-                len: data.len() as u64,
-            },
-            crate::verify::OpKind::Write {
-                fp: crate::verify::fingerprint(data),
-            },
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            // Failures before the pins return with no side effect and
+            // are not recorded in the history (a no-effect op adds no
+            // constraint); failures past them may have partially applied
+            // and are recorded as failed writes.
+            let start = ctx.now();
+            let range = (lh, offset, data.len(), Perm::RW);
+            this.access(ctx, &[range], |this, ctx, c| {
+                let Checked { entry, pieces } = &c[0];
+                let pins = this.pin_pieces(ctx, entry, offset, pieces)?;
+                let result = this.write_pieces(ctx, pieces, data);
+                drop(pins);
+                this.record_hist(
+                    crate::verify::Key::Reg {
+                        node: entry.id.node,
+                        idx: entry.id.idx,
+                        offset,
+                        len: data.len() as u64,
+                    },
+                    crate::verify::OpKind::Write {
+                        fp: crate::verify::fingerprint(data),
+                    },
+                    0,
+                    result.is_ok(),
+                    start,
+                    ctx.now(),
+                );
+                result
+            })
+        })
     }
 
     fn write_pieces(
@@ -948,60 +861,38 @@ impl LiteHandle {
         offset: u64,
         buf: &mut [u8],
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let mut entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-                entry = self.kernel.lookup_lh(self.pid, lh)?;
-            }
-            let pieces = match entry.check(offset, buf.len(), Perm::RO) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let _pins = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.read_pieces(ctx, &pieces, buf);
-            break;
-        }
-        self.record_hist(
-            crate::verify::Key::Reg {
-                node: entry.id.node,
-                idx: entry.id.idx,
-                offset,
-                len: buf.len() as u64,
-            },
-            crate::verify::OpKind::Read {
-                // Failed reads are excluded by the checker; fp is
-                // meaningful only on the ok path.
-                fp: if result.is_ok() {
-                    crate::verify::fingerprint(buf)
-                } else {
-                    0
-                },
-            },
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let range = (lh, offset, buf.len(), Perm::RO);
+            this.access(ctx, &[range], |this, ctx, c| {
+                let Checked { entry, pieces } = &c[0];
+                let pins = this.pin_pieces(ctx, entry, offset, pieces)?;
+                let result = this.read_pieces(ctx, pieces, buf);
+                drop(pins);
+                this.record_hist(
+                    crate::verify::Key::Reg {
+                        node: entry.id.node,
+                        idx: entry.id.idx,
+                        offset,
+                        len: buf.len() as u64,
+                    },
+                    crate::verify::OpKind::Read {
+                        // Failed reads are excluded by the checker; fp is
+                        // meaningful only on the ok path.
+                        fp: if result.is_ok() {
+                            crate::verify::fingerprint(buf)
+                        } else {
+                            0
+                        },
+                    },
+                    0,
+                    result.is_ok(),
+                    start,
+                    ctx.now(),
+                );
+                result
+            })
+        })
     }
 
     fn read_pieces(
@@ -1045,47 +936,19 @@ impl LiteHandle {
         len: usize,
         byte: u8,
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        'attempt: for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
+        self.syscall(ctx, |this, ctx| {
+            this.access(ctx, &[(lh, offset, len, Perm::RW)], |this, ctx, c| {
+                for (node, c) in &c[0].pieces {
+                    this.kcall(
+                        ctx,
+                        *node,
+                        FN_MEMSET,
+                        Enc::new().u64(c.addr).u64(c.len).u8(byte).done(),
+                    )?;
                 }
-            }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, len, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // The remote handler fences each range itself and answers
-            // Relocated when a chunk is mid-migration; redoing all the
-            // pieces after a refresh is idempotent.
-            for (node, c) in pieces {
-                match self.kcall(
-                    ctx,
-                    node,
-                    FN_MEMSET,
-                    Enc::new().u64(c.addr).u64(c.len).u8(byte).done(),
-                ) {
-                    Ok(_) => {}
-                    Err(LiteError::Relocated) => continue 'attempt,
-                    Err(e) => {
-                        self.exit(ctx);
-                        return Err(e);
-                    }
-                }
-            }
-            result = Ok(());
-            break;
-        }
-        self.exit(ctx);
-        result
+                Ok(())
+            })
+        })
     }
 
     /// LT_memcpy: copies between LMRs. Each source piece is pushed by the
@@ -1103,10 +966,11 @@ impl LiteHandle {
         self.copy_ranges(ctx, src_lh, src_off, dst_lh, dst_off, len, false)
     }
 
-    /// Shared body of `lt_memcpy`/`lt_memmove`. `reverse` issues the
-    /// per-piece copies from the highest address down — each FN_MEMCPY
-    /// call buffers its whole subrange before writing, so segment order
-    /// is the only thing that matters for overlapping ranges.
+    /// Shared body of `lt_memcpy`/`lt_memmove`. With `memmove`, an
+    /// overlapping copy whose destination sits above its source issues
+    /// the segments from the highest address down — each FN_MEMCPY call
+    /// buffers its whole segment before writing, so segment order is the
+    /// only thing that matters for overlapping ranges.
     #[allow(clippy::too_many_arguments)]
     fn copy_ranges(
         &mut self,
@@ -1116,96 +980,30 @@ impl LiteHandle {
         dst_lh: Lh,
         dst_off: u64,
         len: usize,
-        reverse: bool,
+        memmove: bool,
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        'attempt: for attempt in 0..3 {
-            if attempt > 0 {
-                // Either handle's cached location may be the stale one;
-                // refresh both (a fresh refresh is a cheap no-op) and
-                // redo the whole copy — re-copying bytes is idempotent.
-                if let Err(e) = self
-                    .refresh_lh(ctx, src_lh)
-                    .and_then(|()| self.refresh_lh(ctx, dst_lh))
-                {
-                    self.exit(ctx);
-                    return Err(e);
+        let ranges = [
+            (src_lh, src_off, len, Perm::RO),
+            (dst_lh, dst_off, len, Perm::RW),
+        ];
+        self.syscall(ctx, |this, ctx| {
+            this.access(ctx, &ranges, |this, ctx, c| {
+                let (src, dst) = (&c[0], &c[1]);
+                // A retry after Relocated rebuilds the segments from fresh
+                // pieces, so a stale segment list is never re-issued.
+                let mut segs = segments(&src.pieces, &dst.pieces);
+                let overlaps = src.entry.id == dst.entry.id
+                    && src_off < dst_off + len as u64
+                    && dst_off < src_off + len as u64;
+                if memmove && overlaps && dst_off > src_off {
+                    segs.reverse();
                 }
-            }
-            let src_entry = self.kernel.lookup_lh(self.pid, src_lh)?;
-            let dst_entry = self.kernel.lookup_lh(self.pid, dst_lh)?;
-            let src_pieces = match src_entry.check(src_off, len, Perm::RO) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
+                for seg in &segs {
+                    this.copy_segment(ctx, seg)?;
                 }
-            };
-            let dst_pieces = match dst_entry.check(dst_off, len, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Walk both piece lists in lockstep to build the per-call
-            // segments, then issue them in copy order. A retry after
-            // Relocated rebuilds from fresh pieces, so a stale segment
-            // list is never re-issued.
-            let (mut si, mut di) = (0usize, 0usize);
-            let (mut s_used, mut d_used) = (0u64, 0u64);
-            let mut remaining = len as u64;
-            let mut segs: Vec<(NodeId, u64, NodeId, u64, u64)> = Vec::new();
-            while remaining > 0 {
-                let (s_node, s_c) = &src_pieces[si];
-                let (d_node, d_c) = &dst_pieces[di];
-                let n = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-                segs.push((*s_node, s_c.addr + s_used, *d_node, d_c.addr + d_used, n));
-                s_used += n;
-                d_used += n;
-                remaining -= n;
-                if s_used == s_c.len {
-                    si += 1;
-                    s_used = 0;
-                }
-                if d_used == d_c.len {
-                    di += 1;
-                    d_used = 0;
-                }
-            }
-            if reverse {
-                segs.reverse();
-            }
-            for (s_node, s_addr, d_node, d_addr, n) in segs {
-                let op = if s_node == d_node { 0u8 } else { 1u8 };
-                match self.kcall(
-                    ctx,
-                    s_node,
-                    FN_MEMCPY,
-                    Enc::new()
-                        .u8(op)
-                        .u64(s_addr)
-                        .u64(n)
-                        .u32(d_node as u32)
-                        .u64(d_addr)
-                        .done(),
-                ) {
-                    Ok(_) => {}
-                    Err(LiteError::Relocated) => continue 'attempt,
-                    Err(e) => {
-                        self.exit(ctx);
-                        return Err(e);
-                    }
-                }
-            }
-            result = Ok(());
-            break;
-        }
-        self.exit(ctx);
-        result
+                Ok(())
+            })
+        })
     }
 
     /// LT_memmove: memcpy with memmove semantics for overlapping ranges
@@ -1224,14 +1022,7 @@ impl LiteHandle {
         dst_off: u64,
         len: usize,
     ) -> LiteResult<()> {
-        let same_lmr = {
-            let src_entry = self.kernel.lookup_lh(self.pid, src_lh)?;
-            let dst_entry = self.kernel.lookup_lh(self.pid, dst_lh)?;
-            src_entry.id == dst_entry.id
-        };
-        let overlaps = same_lmr && src_off < dst_off + len as u64 && dst_off < src_off + len as u64;
-        let reverse = overlaps && dst_off > src_off;
-        self.copy_ranges(ctx, src_lh, src_off, dst_lh, dst_off, len, reverse)
+        self.copy_ranges(ctx, src_lh, src_off, dst_lh, dst_off, len, true)
     }
 
     // ------------------------------------------------------------------
@@ -1255,21 +1046,22 @@ impl LiteHandle {
         if func < USER_FUNC_MIN {
             return Err(LiteError::ReservedFunc { func });
         }
-        self.enter(ctx);
-        let out = self.call_raw(ctx, server, func, input, max_reply, false)?;
-        self.exit(ctx);
-        Ok(out)
+        self.syscall(ctx, |this, ctx| {
+            this.call_raw(ctx, server, func, input, max_reply, false)
+        })
     }
 
     /// LT_recvRPC: receives the next call for `func`. The payload move
     /// out of the ring is the single memory move of §5.2.
     pub fn lt_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<RpcCall> {
-        self.enter(ctx);
+        self.syscall(ctx, |this, ctx| this.recv(ctx, func))
+    }
+
+    /// Blocks (up to `op_timeout`) for the next call for `func`.
+    fn recv(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<RpcCall> {
         let timeout = self.kernel.config.op_timeout;
         let inc = self.kernel.pop_rpc(ctx, func, timeout)?;
-        let call = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok(call)
+        self.finish_recv(ctx, inc)
     }
 
     fn finish_recv(&mut self, ctx: &mut Ctx, inc: crate::kernel::Incoming) -> LiteResult<RpcCall> {
@@ -1300,30 +1092,17 @@ impl LiteHandle {
     /// Non-blocking LT_recvRPC: returns `Ok(None)` when no call is
     /// queued. Lets servers interleave RPC service with other work.
     pub fn lt_try_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<RpcCall>> {
-        self.enter(ctx);
-        let inc = self.kernel.try_pop_rpc(ctx, func)?;
-        let out = match inc {
-            Some(inc) => Some(self.finish_recv(ctx, inc)?),
-            None => None,
-        };
-        self.exit(ctx);
-        Ok(out)
+        self.syscall(ctx, |this, ctx| {
+            match this.kernel.try_pop_rpc(ctx, func)? {
+                Some(inc) => this.finish_recv(ctx, inc).map(Some),
+                None => Ok(None),
+            }
+        })
     }
 
     /// LT_replyRPC: sends the return value for `call`.
     pub fn lt_reply_rpc(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
-        ctx.work(self.kernel.config.rpc_meta_ns);
-        let staged = self.stage(output)?;
-        let chunks = [Chunk {
-            addr: staged,
-            len: output.len() as u64,
-        }];
-        let head = call.pending_head.lock().take();
-        self.kernel
-            .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)?;
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| this.reply(ctx, call, output))
     }
 
     /// The combined reply-and-receive of §5.2 (one crossing for both).
@@ -1334,7 +1113,13 @@ impl LiteHandle {
         output: &[u8],
         func: u8,
     ) -> LiteResult<RpcCall> {
-        self.enter(ctx);
+        self.syscall(ctx, |this, ctx| {
+            this.reply(ctx, call, output)?;
+            this.recv(ctx, func)
+        })
+    }
+
+    fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
         ctx.work(self.kernel.config.rpc_meta_ns);
         let staged = self.stage(output)?;
         let chunks = [Chunk {
@@ -1343,31 +1128,24 @@ impl LiteHandle {
         }];
         let head = call.pending_head.lock().take();
         self.kernel
-            .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)?;
-        let timeout = self.kernel.config.op_timeout;
-        let inc = self.kernel.pop_rpc(ctx, func, timeout)?;
-        let next = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok(next)
+            .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)
+            .map(|_| ())
     }
 
     /// LT_send: one-way message to `node` (received via
     /// [`LiteHandle::lt_recv_msg`]).
     pub fn lt_send(&mut self, ctx: &mut Ctx, node: NodeId, data: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
-        self.call_raw(ctx, node, FN_MSG, data, 0, true)?;
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            this.call_raw(ctx, node, FN_MSG, data, 0, true).map(|_| ())
+        })
     }
 
     /// Receives the next message sent to this node with LT_send.
     pub fn lt_recv_msg(&mut self, ctx: &mut Ctx) -> LiteResult<(NodeId, Vec<u8>)> {
-        self.enter(ctx);
-        let timeout = self.kernel.config.op_timeout;
-        let inc = self.kernel.pop_rpc(ctx, FN_MSG, timeout)?;
-        let call = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok((call.src_node, call.input))
+        self.syscall(ctx, |this, ctx| {
+            let call = this.recv(ctx, FN_MSG)?;
+            Ok((call.src_node, call.input))
+        })
     }
 
     /// Multicast RPC (§8.4): issues the same call to several servers
@@ -1386,19 +1164,9 @@ impl LiteHandle {
         input: &[u8],
         max_reply: usize,
     ) -> LiteResult<Vec<Vec<u8>>> {
-        let results = self.lt_multicast_rpc_partial(ctx, servers, func, input, max_reply)?;
-        let mut outs = Vec::with_capacity(results.len());
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok(reply) => outs.push(reply),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(outs),
-        }
+        self.lt_multicast_rpc_partial(ctx, servers, func, input, max_reply)?
+            .into_iter()
+            .collect()
     }
 
     /// Multicast RPC with per-destination outcomes, in `servers` order.
@@ -1425,132 +1193,123 @@ impl LiteHandle {
         if func < USER_FUNC_MIN {
             return Err(LiteError::ReservedFunc { func });
         }
-        self.enter(ctx);
-        let cfg = self.kernel.config.clone();
-        ctx.work(cfg.rpc_meta_ns);
-        // Stage input once; carve one reply cell per destination out of
-        // the persistent multicast scratch.
-        let cell = max_reply.max(1);
-        let prep = (|| {
-            let staged = self.stage(input)?;
-            if self.mcast_reply.is_none() {
-                self.mcast_reply = Some(Scratch {
-                    addr: self.kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
+        self.syscall(ctx, |this, ctx| {
+            let cfg = this.kernel.config.clone();
+            ctx.work(cfg.rpc_meta_ns);
+            // Stage input once; carve one reply cell per destination out of
+            // the persistent multicast scratch.
+            let cell = max_reply.max(1);
+            let staged = this.stage(input)?;
+            if this.mcast_reply.is_none() {
+                this.mcast_reply = Some(Scratch {
+                    addr: this.kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
                     cap: INIT_SCRATCH,
                 });
             }
-            let scratch = self.mcast_reply.as_mut().expect("just initialized");
-            Self::ensure(&self.kernel, scratch, cell.saturating_mul(servers.len()))?;
-            Ok((staged, scratch.addr))
-        })();
-        let (staged, reply_base) = match prep {
-            Ok(v) => v,
-            Err(e) => {
-                self.exit(ctx);
-                return Err(e);
-            }
-        };
-        let total = HEADER_BYTES as u64 + input.len() as u64;
-        // Fan-out: per destination, a posted completion slot or the
-        // error that stopped it. Failed destinations keep their entry so
-        // the gather below stays index-aligned with `servers`.
-        let mut pending = Vec::with_capacity(servers.len());
-        for (i, &server) in servers.iter().enumerate() {
-            let raddr = reply_base + (i * cell) as u64;
-            let r = match self.kernel.reserve_ring(ctx, server, total) {
-                Ok(r) => r,
-                Err(e) => {
-                    pending.push(Err(e));
-                    continue;
+            let scratch = this.mcast_reply.as_mut().expect("just initialized");
+            Self::ensure(&this.kernel, scratch, cell.saturating_mul(servers.len()))?;
+            let reply_base = scratch.addr;
+            let total = HEADER_BYTES as u64 + input.len() as u64;
+            // Fan-out: per destination, a posted completion slot or the
+            // error that stopped it. Failed destinations keep their entry so
+            // the gather below stays index-aligned with `servers`.
+            let mut pending = Vec::with_capacity(servers.len());
+            for (i, &server) in servers.iter().enumerate() {
+                let raddr = reply_base + (i * cell) as u64;
+                let r = match this.kernel.reserve_ring(ctx, server, total) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        pending.push(Err(e));
+                        continue;
+                    }
+                };
+                let (slot_id, slot) = this.kernel.alloc_slot();
+                let hdr = MsgHeader {
+                    func,
+                    slot: slot_id,
+                    len: input.len() as u32,
+                    reply_addr: raddr,
+                    reply_max: max_reply as u32,
+                    src_node: this.kernel.node() as u32,
+                    src_pid: this.pid,
+                    skip: r.skip as u32,
+                };
+                // Header goes through a tiny transient staging cell so the
+                // shared input staging stays untouched.
+                let hdr_addr = match this.kernel.alloc.lock().alloc(HEADER_BYTES as u64) {
+                    Ok(a) => a,
+                    Err(e) => {
+                        this.kernel.free_slot(slot_id);
+                        pending.push(Err(LiteError::from(e)));
+                        continue;
+                    }
+                };
+                let post = this
+                    .kernel
+                    .fabric()
+                    .mem(this.kernel.node())
+                    .write(hdr_addr, &hdr.encode())
+                    .map_err(LiteError::from)
+                    .and_then(|()| {
+                        let chunks = [
+                            Chunk {
+                                addr: hdr_addr,
+                                len: HEADER_BYTES as u64,
+                            },
+                            Chunk {
+                                addr: staged,
+                                len: input.len() as u64,
+                            },
+                        ];
+                        let dst = this.kernel.ring_remote_addr(server, r.offset)?;
+                        let imm = Imm::Request {
+                            granule: (r.offset / crate::wire::RING_GRANULE) as u32,
+                        };
+                        this.kernel.post_write_imm(
+                            ctx,
+                            this.prio,
+                            server,
+                            dst,
+                            &chunks,
+                            total as usize,
+                            imm,
+                        )
+                    });
+                if this.kernel.alloc.lock().free(hdr_addr).is_err() {
+                    this.kernel.note_cleanup_failure(server, ctx.now());
                 }
-            };
-            let (slot_id, slot) = self.kernel.alloc_slot();
-            let hdr = MsgHeader {
-                func,
-                slot: slot_id,
-                len: input.len() as u32,
-                reply_addr: raddr,
-                reply_max: max_reply as u32,
-                src_node: self.kernel.node() as u32,
-                src_pid: self.pid,
-                skip: r.skip as u32,
-            };
-            // Header goes through a tiny transient staging cell so the
-            // shared input staging stays untouched.
-            let hdr_addr = match self.kernel.alloc.lock().alloc(HEADER_BYTES as u64) {
-                Ok(a) => a,
-                Err(e) => {
-                    self.kernel.free_slot(slot_id);
-                    pending.push(Err(LiteError::from(e)));
-                    continue;
-                }
-            };
-            let post = self
-                .kernel
-                .fabric()
-                .mem(self.kernel.node())
-                .write(hdr_addr, &hdr.encode())
-                .map_err(LiteError::from)
-                .and_then(|()| {
-                    let chunks = [
-                        Chunk {
-                            addr: hdr_addr,
-                            len: HEADER_BYTES as u64,
-                        },
-                        Chunk {
-                            addr: staged,
-                            len: input.len() as u64,
-                        },
-                    ];
-                    let dst = self.kernel.ring_remote_addr(server, r.offset)?;
-                    let imm = Imm::Request {
-                        granule: (r.offset / crate::wire::RING_GRANULE) as u32,
-                    };
-                    self.kernel.post_write_imm(
-                        ctx,
-                        self.prio,
-                        server,
-                        dst,
-                        &chunks,
-                        total as usize,
-                        imm,
-                    )
-                });
-            if self.kernel.alloc.lock().free(hdr_addr).is_err() {
-                self.kernel.note_cleanup_failure(server, ctx.now());
-            }
-            match post {
-                Ok(_) => pending.push(Ok((slot_id, slot))),
-                Err(e) => {
-                    self.kernel.free_slot(slot_id);
-                    pending.push(Err(e));
-                }
-            }
-        }
-        // Gather replies; every posted slot is waited on and freed
-        // whatever its outcome.
-        let mut results = Vec::with_capacity(pending.len());
-        for (i, posted) in pending.into_iter().enumerate() {
-            let result = match posted {
-                Ok((slot_id, slot)) => {
-                    let waited = slot.wait(ctx, &cfg, cfg.op_timeout);
-                    self.kernel.free_slot(slot_id);
-                    match waited {
-                        Ok(r) if r.ok => {
-                            let mut buf = vec![0u8; (r.len as usize).min(cell)];
-                            self.unstage(reply_base + (i * cell) as u64, &mut buf)
-                                .map(|()| buf)
-                        }
-                        Ok(_) => Err(LiteError::UnknownRpc { func }),
-                        Err(e) => Err(e),
+                match post {
+                    Ok(_) => pending.push(Ok((slot_id, slot))),
+                    Err(e) => {
+                        this.kernel.free_slot(slot_id);
+                        pending.push(Err(e));
                     }
                 }
-                Err(e) => Err(e),
-            };
-            results.push(result);
-        }
-        self.exit(ctx);
-        Ok(results)
+            }
+            // Gather replies; every posted slot is waited on and freed
+            // whatever its outcome.
+            let mut results = Vec::with_capacity(pending.len());
+            for (i, posted) in pending.into_iter().enumerate() {
+                let result = match posted {
+                    Ok((slot_id, slot)) => {
+                        let waited = slot.wait(ctx, &cfg, cfg.op_timeout);
+                        this.kernel.free_slot(slot_id);
+                        match waited {
+                            Ok(r) if r.ok => {
+                                let mut buf = vec![0u8; (r.len as usize).min(cell)];
+                                this.unstage(reply_base + (i * cell) as u64, &mut buf)
+                                    .map(|()| buf)
+                            }
+                            Ok(_) => Err(LiteError::UnknownRpc { func }),
+                            Err(e) => Err(e),
+                        }
+                    }
+                    Err(e) => Err(e),
+                };
+                results.push(result);
+            }
+            Ok(results)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1559,12 +1318,12 @@ impl LiteHandle {
 
     /// Creates a distributed lock owned by this node.
     pub fn lt_create_lock(&mut self, ctx: &mut Ctx) -> LiteResult<LockId> {
-        self.enter(ctx);
-        let (addr, _idx) = self.kernel.alloc_lock_cell()?;
-        self.exit(ctx);
-        Ok(LockId {
-            node: self.kernel.node(),
-            addr,
+        self.syscall(ctx, |this, _| {
+            let (addr, _idx) = this.kernel.alloc_lock_cell()?;
+            Ok(LockId {
+                node: this.kernel.node(),
+                addr,
+            })
         })
     }
 
@@ -1576,26 +1335,26 @@ impl LiteHandle {
     /// unrecoverable case — the owner unreachable with our enqueue fate
     /// unknown — is counted in [`crate::KernelStats::sync_leaks`].
     pub fn lt_lock(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self.lock_inner(ctx, lock);
-        let end = ctx.now();
-        self.record_hist(
-            crate::verify::Key::Lock {
-                node: lock.node,
-                addr: lock.addr,
-            },
-            crate::verify::OpKind::Lock,
-            0,
-            result.is_ok(),
-            start,
-            end,
-        );
-        if result.is_ok() {
-            self.span(OpClass::Lock, lock.node, start, end);
-        }
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let result = this.lock_inner(ctx, lock);
+            let end = ctx.now();
+            this.record_hist(
+                crate::verify::Key::Lock {
+                    node: lock.node,
+                    addr: lock.addr,
+                },
+                crate::verify::OpKind::Lock,
+                0,
+                result.is_ok(),
+                start,
+                end,
+            );
+            if result.is_ok() {
+                this.span(OpClass::Lock, lock.node, start, end);
+            }
+            result
+        })
     }
 
     fn lock_inner(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
@@ -1680,22 +1439,22 @@ impl LiteHandle {
     /// would decrement the lock word a second time). Counted in
     /// [`crate::KernelStats::sync_leaks`].
     pub fn lt_unlock(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self.unlock_inner(ctx, lock);
-        self.record_hist(
-            crate::verify::Key::Lock {
-                node: lock.node,
-                addr: lock.addr,
-            },
-            crate::verify::OpKind::Unlock,
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let result = this.unlock_inner(ctx, lock);
+            this.record_hist(
+                crate::verify::Key::Lock {
+                    node: lock.node,
+                    addr: lock.addr,
+                },
+                crate::verify::OpKind::Unlock,
+                0,
+                result.is_ok(),
+                start,
+                ctx.now(),
+            );
+            result
+        })
     }
 
     fn unlock_inner(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
@@ -1768,30 +1527,30 @@ impl LiteHandle {
     /// LT_barrier: blocks until `count` participants arrive at barrier
     /// `id` (coordinated by the manager node).
     pub fn lt_barrier(&mut self, ctx: &mut Ctx, id: u64, count: u32) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self
-            .kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_BARRIER,
-                Enc::new().u64(id).u32(count).done(),
-            )
-            .map(|_| ());
-        let end = ctx.now();
-        self.record_hist(
-            crate::verify::Key::Barrier { id },
-            crate::verify::OpKind::Barrier { count },
-            0,
-            result.is_ok(),
-            start,
-            end,
-        );
-        if result.is_ok() {
-            self.span(OpClass::Barrier, MANAGER_NODE, start, end);
-        }
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let result = this
+                .kcall(
+                    ctx,
+                    MANAGER_NODE,
+                    FN_BARRIER,
+                    Enc::new().u64(id).u32(count).done(),
+                )
+                .map(|_| ());
+            let end = ctx.now();
+            this.record_hist(
+                crate::verify::Key::Barrier { id },
+                crate::verify::OpKind::Barrier { count },
+                0,
+                result.is_ok(),
+                start,
+                end,
+            );
+            if result.is_ok() {
+                this.span(OpClass::Barrier, MANAGER_NODE, start, end);
+            }
+            result
+        })
     }
 
     /// LT_fetch-add on a u64 inside an LMR; returns the previous value.
@@ -1802,54 +1561,9 @@ impl LiteHandle {
         offset: u64,
         delta: u64,
     ) -> LiteResult<u64> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, 8, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // The pin is taken before the atomic posts, so a retry after
-            // Relocated never re-applies a landed fetch-add — and the
-            // target address is only read out of the piece list *after*
-            // the pin has verified that list against the live mapping.
-            // (Extracting it first reads from a snapshot a concurrent
-            // eviction may already have invalidated; the pin would still
-            // catch it, but only because nothing was cached before it.)
-            let pin = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let (node, c) = match single_piece(offset, &pieces) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.kernel.fetch_add(ctx, self.prio, node, c.addr, delta);
-            // The guard must outlive the post: eviction drains pins, so
-            // the chunk cannot move (or be freed) mid-atomic.
-            drop(pin);
-            break;
-        }
-        self.exit(ctx);
-        result
+        self.atomic(ctx, lh, offset, |kernel, ctx, prio, node, addr| {
+            kernel.fetch_add(ctx, prio, node, addr, delta)
+        })
     }
 
     /// LT_test-set on a u64 inside an LMR: compare-and-swap
@@ -1883,50 +1597,43 @@ impl LiteHandle {
         expect: u64,
         new: u64,
     ) -> LiteResult<u64> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, 8, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Same discipline as `lt_fetch_add`: pin first, then read
-            // the target address out of the now-verified piece list, and
-            // hold the guard across the post.
-            let pin = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let (node, c) = match single_piece(offset, &pieces) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self
-                .kernel
-                .cmp_swap(ctx, self.prio, node, c.addr, expect, new);
-            drop(pin);
-            break;
-        }
-        self.exit(ctx);
-        result
+        self.atomic(ctx, lh, offset, |kernel, ctx, prio, node, addr| {
+            kernel.cmp_swap(ctx, prio, node, addr, expect, new)
+        })
+    }
+
+    /// Shared body of the 8-byte atomics: `post` runs against the word's
+    /// storage node and physical address.
+    fn atomic(
+        &mut self,
+        ctx: &mut Ctx,
+        lh: Lh,
+        offset: u64,
+        post: impl Fn(&LiteKernel, &mut Ctx, Priority, NodeId, u64) -> LiteResult<u64>,
+    ) -> LiteResult<u64> {
+        self.syscall(ctx, |this, ctx| {
+            this.access(ctx, &[(lh, offset, 8, Perm::RW)], |this, ctx, c| {
+                let Checked { entry, pieces } = &c[0];
+                // The pin is taken before the atomic posts, so a retry after
+                // Relocated never re-applies a landed atomic — and the
+                // target address is only read out of the piece list *after*
+                // the pin has verified that list against the live mapping.
+                // (Extracting it first reads from a snapshot a concurrent
+                // eviction may already have invalidated; the pin would still
+                // catch it, but only because nothing was cached before it.)
+                let pin = this.pin_pieces(ctx, entry, offset, pieces)?;
+                // The word must live inside one chunk: `check` passed, so
+                // more than one piece means it straddles a chunk boundary.
+                let [(node, word)] = pieces[..] else {
+                    return Err(LiteError::StraddlesChunk { offset, len: 8 });
+                };
+                let result = post(&this.kernel, ctx, this.prio, node, word.addr);
+                // The guard must outlive the post: eviction drains pins, so
+                // the chunk cannot move (or be freed) mid-atomic.
+                drop(pin);
+                result
+            })
+        })
     }
 }
 
@@ -1955,17 +1662,6 @@ impl Drop for LiteHandle {
     }
 }
 
-/// Atomics operate on one 8-byte word, which must therefore live inside
-/// a single chunk of the LMR; `check` has already bounds/permission
-/// checked the range, so more than one piece means the word straddles a
-/// chunk boundary.
-fn single_piece(offset: u64, pieces: &[(NodeId, Chunk)]) -> LiteResult<(NodeId, &Chunk)> {
-    if pieces.len() != 1 {
-        return Err(LiteError::StraddlesChunk { offset, len: 8 });
-    }
-    Ok((pieces[0].0, &pieces[0].1))
-}
-
 fn map_status(code: u8) -> LiteError {
     match code {
         1 => LiteError::Remote(1),
@@ -1985,4 +1681,53 @@ fn named_err(e: LiteError, name: &str) -> LiteError {
         },
         other => other,
     }
+}
+
+/// One checked range of an access: the lh entry and the physical pieces
+/// the range maps to.
+struct Checked {
+    entry: LhEntry,
+    pieces: Vec<(NodeId, Chunk)>,
+}
+
+/// One `FN_MEMCPY` call: `len` bytes from `src` on `src_node` to `dst`
+/// on `dst_node`.
+struct Segment {
+    src_node: NodeId,
+    src: u64,
+    dst_node: NodeId,
+    dst: u64,
+    len: u64,
+}
+
+/// Walks a source and a destination piece list covering the same bytes
+/// in lockstep, cutting them into segments that each lie inside one
+/// source piece and one destination piece, in ascending address order.
+fn segments(src: &[(NodeId, Chunk)], dst: &[(NodeId, Chunk)]) -> Vec<Segment> {
+    let (mut si, mut di) = (0usize, 0usize);
+    let (mut s_used, mut d_used) = (0u64, 0u64);
+    let mut segs = Vec::new();
+    while si < src.len() && di < dst.len() {
+        let (s_node, s_c) = &src[si];
+        let (d_node, d_c) = &dst[di];
+        let len = (s_c.len - s_used).min(d_c.len - d_used);
+        segs.push(Segment {
+            src_node: *s_node,
+            src: s_c.addr + s_used,
+            dst_node: *d_node,
+            dst: d_c.addr + d_used,
+            len,
+        });
+        s_used += len;
+        d_used += len;
+        if s_used == s_c.len {
+            si += 1;
+            s_used = 0;
+        }
+        if d_used == d_c.len {
+            di += 1;
+            d_used = 0;
+        }
+    }
+    segs
 }

@@ -7,8 +7,7 @@
 //! built here; each pair is wired on first use by the datapath
 //! ([`RnicDataPath::ensure_qps`](crate::kernel::datapath::RnicDataPath))
 //! and the RPC layer (`ensure_ring`), both under the directory's single
-//! connect lock. Set [`LiteConfig::eager_mesh`] to pre-wire every pair at
-//! boot (the paper's original setup; useful for latency-floor baselines).
+//! connect lock, so a pair that never talks is never wired.
 //!
 //! Nodes can also join at runtime: [`LiteCluster::start_partial`] boots a
 //! prefix of the fabric and [`LiteCluster::join_node`] brings up the rest
@@ -82,9 +81,6 @@ impl LiteCluster {
         for node in 0..boot {
             cluster.join_node(node)?;
         }
-        if cluster.config.eager_mesh {
-            cluster.wire_full_mesh(boot)?;
-        }
         Ok(cluster)
     }
 
@@ -131,22 +127,6 @@ impl LiteCluster {
             }
         }
         Ok(kernel)
-    }
-
-    /// Pre-wires every QP pool and ring pair among nodes `0..n` — the
-    /// paper's original eager bring-up, behind
-    /// [`LiteConfig::eager_mesh`].
-    fn wire_full_mesh(&self, n: usize) -> LiteResult<()> {
-        for a in 0..n {
-            let k = self.try_kernel(a)?;
-            for b in 0..n {
-                if a != b {
-                    k.datapath().ensure_qps(b)?;
-                }
-                k.ensure_ring(b)?;
-            }
-        }
-        Ok(())
     }
 
     /// Nodes joined so far (boot nodes plus runtime joins).

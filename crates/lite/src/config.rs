@@ -42,10 +42,6 @@ pub struct LiteConfig {
     /// a power of two, minimum 1. More shards = less lock contention
     /// between unrelated keys; 16 is plenty up to thousands of contexts.
     pub kernel_shards: usize,
-    /// `true` restores the old boot behavior: wire the full O(N²·K) QP
-    /// mesh and every RPC ring pair at cluster start instead of lazily
-    /// on first use. The ablation baseline for the `scale` bench.
-    pub eager_mesh: bool,
 
     // ---- fault recovery (DESIGN.md "Fault model & recovery") ----
     /// `false` disables the kernel recovery layer: datapath ops fail on
@@ -135,7 +131,6 @@ impl Default for LiteConfig {
             max_rpc_payload: 4 << 20,
             op_timeout: std::time::Duration::from_secs(5),
             kernel_shards: 16,
-            eager_mesh: false,
             retry_enabled: true,
             retry_base_ns: 2_000,
             retry_max_backoff_ns: 1_000_000,

@@ -1645,24 +1645,9 @@ impl LiteKernel {
     }
 }
 
-/// QPs this kernel should create towards each peer, honoring QoS needs:
-/// K RC QPs per peer (§6.1). Used by the cluster builder's tests and by
-/// external tooling that inspects the sharing scheme.
-#[allow(dead_code)]
-pub(crate) fn qp_plan(nodes: usize, me: NodeId, k: usize) -> Vec<(NodeId, usize)> {
-    (0..nodes).filter(|&p| p != me).map(|p| (p, k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn qp_plan_counts() {
-        let plan = qp_plan(4, 1, 2);
-        assert_eq!(plan, vec![(0, 2), (2, 2), (3, 2)]);
-        assert_eq!(plan.iter().map(|(_, k)| k).sum::<usize>(), 6);
-    }
 
     #[test]
     fn op_descriptor_accessors() {

@@ -332,11 +332,7 @@ impl LiteKernel {
                                 .sum::<u64>();
                             ctx.work(self.fabric.cost().pin_page_ns * pages);
                         }
-                        let mut e = Enc::new().u8(0).u32(chunks.len() as u32);
-                        for c in &chunks {
-                            e = e.u64(c.addr).u64(c.len);
-                        }
-                        Ok(Some(e.done()))
+                        Ok(Some(Enc::new().u8(0).chunks(&chunks).done()))
                     }
                     Err(_) => Ok(Some(Enc::new().u8(1).done())),
                 }
@@ -428,15 +424,12 @@ impl LiteKernel {
                     // pull the LMR home on the next manager sweep.
                     let fault = rec.id.node as NodeId == me
                         && rec.location.extents.iter().any(|(n, _)| *n != me);
-                    let mut e = Enc::new()
+                    let e = Enc::new()
                         .u8(0)
                         .u32(rec.id.node)
                         .u32(rec.id.idx)
                         .u8(perm_to_byte(perm))
-                        .u32(rec.location.extents.len() as u32);
-                    for (node, c) in &rec.location.extents {
-                        e = e.u32(*node as u32).u64(c.addr).u64(c.len);
-                    }
+                        .extents(&rec.location.extents);
                     Some((fault, e.done()))
                 });
                 match out {
@@ -496,11 +489,8 @@ impl LiteKernel {
                             .u8(0)
                             .u32(rec.id.node)
                             .u32(rec.id.idx)
-                            .u32(rec.location.extents.len() as u32);
-                        for (node, c) in &rec.location.extents {
-                            e = e.u32(*node as u32).u64(c.addr).u64(c.len);
-                        }
-                        e = e.u32(rec.mapped_by.len() as u32);
+                            .extents(&rec.location.extents)
+                            .u32(rec.mapped_by.len() as u32);
                         for n in &rec.mapped_by {
                             e = e.u32(*n as u32);
                         }

@@ -166,6 +166,18 @@ pub struct LhEntry {
 }
 
 impl LhEntry {
+    /// A live entry (neither stale nor relocated) for LMR `id`.
+    pub fn new(id: LmrId, name: String, location: Location, perm: Perm) -> Self {
+        LhEntry {
+            id,
+            name,
+            location,
+            perm,
+            stale: false,
+            relocated: false,
+        }
+    }
+
     /// Validates an access of `len` bytes at `offset` with permission
     /// `need`, returning the physical pieces to operate on.
     pub fn check(&self, offset: u64, len: usize, need: Perm) -> LiteResult<Vec<(NodeId, Chunk)>> {

@@ -1400,31 +1400,6 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
     mm.bg_unpin_sweep();
 }
 
-/// Remote-allocates `len` bytes on `target` through the kernel allocator
-/// service; returns the landed chunks.
-fn remote_alloc(
-    kernel: &Arc<LiteKernel>,
-    ctx: &mut Ctx,
-    handle: &mut LiteHandle,
-    target: NodeId,
-    len: u64,
-) -> LiteResult<Vec<Chunk>> {
-    let payload = crate::wire::Enc::new()
-        .u64(len)
-        .u64(kernel.config().max_lmr_chunk)
-        .done();
-    let reply = handle.kcall(ctx, target, crate::kernel::FN_MALLOC, payload)?;
-    let mut d = crate::wire::Dec::new(&reply);
-    let n = d.u32()?;
-    let mut chunks = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let addr = d.u64()?;
-        let clen = d.u64()?;
-        chunks.push(Chunk { addr, len: clen });
-    }
-    Ok(chunks)
-}
-
 /// Best-effort remote free of `chunks` on `node` (rollback paths).
 fn remote_free(
     kernel: &Arc<LiteKernel>,
@@ -1433,12 +1408,8 @@ fn remote_free(
     node: NodeId,
     chunks: &[Chunk],
 ) {
-    let mut e = crate::wire::Enc::new().u32(chunks.len() as u32);
-    for c in chunks {
-        e = e.u64(c.addr);
-    }
     if handle
-        .kcall(ctx, node, crate::kernel::FN_FREE_CHUNKS, e.done())
+        .free_chunks(ctx, node, chunks.iter().map(|c| c.addr))
         .is_err()
     {
         kernel.note_cleanup_failure(node, ctx.now());
@@ -1503,7 +1474,7 @@ fn evict_one(
     }
     let src_addr = seg.addr.load(Ordering::Acquire);
     // Land space on the swap node.
-    let chunks = match remote_alloc(kernel, ctx, handle, target, seg.len) {
+    let chunks = match handle.alloc_chunks(ctx, target, seg.len) {
         Ok(c) => c,
         Err(e) => {
             mm.abort_transition(&seg, was);

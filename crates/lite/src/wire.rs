@@ -2,6 +2,9 @@
 //! encoding (§5.1: "LITE uses the IMM value to include the RPC function ID
 //! and the offset where the data starts in the LMR").
 
+use rnic::NodeId;
+use smem::Chunk;
+
 use crate::error::{LiteError, LiteResult};
 
 /// Ring messages are rounded up to this granule; IMM offsets are in
@@ -175,6 +178,24 @@ impl Enc {
         self.0.extend_from_slice(v);
         self
     }
+    /// Appends a chunk list (an allocation reply): a u32 count, then
+    /// `addr, len` per chunk.
+    pub fn chunks(mut self, chunks: &[Chunk]) -> Self {
+        self = self.u32(chunks.len() as u32);
+        for c in chunks {
+            self = self.u64(c.addr).u64(c.len);
+        }
+        self
+    }
+    /// Appends a node-tagged extent list (an LMR location): a u32 count,
+    /// then `node, addr, len` per extent.
+    pub fn extents(mut self, extents: &[(NodeId, Chunk)]) -> Self {
+        self = self.u32(extents.len() as u32);
+        for (node, c) in extents {
+            self = self.u32(*node as u32).u64(c.addr).u64(c.len);
+        }
+        self
+    }
     /// Finishes, returning the encoded payload.
     pub fn done(self) -> Vec<u8> {
         self.0
@@ -217,6 +238,32 @@ impl<'a> Dec<'a> {
     pub fn bytes(&mut self) -> LiteResult<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
+    }
+    /// Reads a chunk list written by [`Enc::chunks`].
+    pub fn chunks(&mut self) -> LiteResult<Vec<Chunk>> {
+        (0..self.u32()?)
+            .map(|_| {
+                Ok(Chunk {
+                    addr: self.u64()?,
+                    len: self.u64()?,
+                })
+            })
+            .collect()
+    }
+    /// Reads an extent list written by [`Enc::extents`].
+    pub fn extents(&mut self) -> LiteResult<Vec<(NodeId, Chunk)>> {
+        (0..self.u32()?)
+            .map(|_| {
+                let node = self.u32()? as NodeId;
+                Ok((
+                    node,
+                    Chunk {
+                        addr: self.u64()?,
+                        len: self.u64()?,
+                    },
+                ))
+            })
+            .collect()
     }
 }
 
@@ -275,12 +322,25 @@ mod tests {
             .u32(0xAABBCCDD)
             .u64(0x1122334455667788)
             .bytes(b"hello")
+            .chunks(&[Chunk { addr: 64, len: 8 }])
+            .extents(&[
+                (3, Chunk { addr: 4096, len: 9 }),
+                (0, Chunk { addr: 1, len: 2 }),
+            ])
             .done();
         let mut d = Dec::new(&v);
         assert_eq!(d.u8().unwrap(), 7);
         assert_eq!(d.u32().unwrap(), 0xAABBCCDD);
         assert_eq!(d.u64().unwrap(), 0x1122334455667788);
         assert_eq!(d.bytes().unwrap(), b"hello");
+        assert_eq!(d.chunks().unwrap(), vec![Chunk { addr: 64, len: 8 }]);
+        assert_eq!(
+            d.extents().unwrap(),
+            vec![
+                (3, Chunk { addr: 4096, len: 9 }),
+                (0, Chunk { addr: 1, len: 2 })
+            ]
+        );
         assert!(d.u8().is_err(), "exhausted");
     }
 }

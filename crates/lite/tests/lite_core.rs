@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use lite::{LiteCluster, LiteError, Perm, Priority, QosMode, USER_FUNC_MIN};
+use lite::{
+    Lh, LiteCluster, LiteConfig, LiteError, LiteHandle, LiteResult, Perm, Priority, QosMode,
+    USER_FUNC_MIN,
+};
 use simnet::Ctx;
 
 #[test]
@@ -405,24 +408,6 @@ fn qp_sharing_counts_match_section_6_1() {
 }
 
 #[test]
-fn eager_mesh_restores_boot_time_wiring() {
-    // The ablation switch for the old behavior: eager_mesh pre-wires
-    // every pair (and every ring) during start.
-    let cluster = LiteCluster::start_with(
-        rnic::IbConfig::with_nodes(4),
-        lite::LiteConfig {
-            eager_mesh: true,
-            ..lite::LiteConfig::with_qp_factor(2)
-        },
-        lite::QosConfig::default(),
-    )
-    .unwrap();
-    for node in 0..4 {
-        assert_eq!(cluster.kernel(node).stats().qps, 2 * 3);
-    }
-}
-
-#[test]
 fn qos_modes_switch_and_low_priority_is_throttled_under_hwsep() {
     let cluster = LiteCluster::start(2).unwrap();
     cluster.set_qos_mode(QosMode::HwSep);
@@ -541,6 +526,113 @@ fn kernel_level_handle_skips_crossings() {
         "user-level ({user_lat}) must pay the crossing over kernel-level ({kern_lat})"
     );
     assert!(user_lat - kern_lat < 1_000, "crossing cost is sub-µs");
+}
+
+#[test]
+fn error_returns_charge_the_whole_syscall() {
+    // An error return pays the same crossings as a success: with
+    // `fast_syscalls` off, the entry crossing plus the return crossing
+    // and re-entry (3 crossings) for errors found before any RPC, and
+    // the same 2-crossing return path on top of a failed RPC. A
+    // kernel-level handle pays none of it.
+    type Call = fn(&mut LiteHandle, &mut Ctx, Lh) -> LiteResult<()>;
+    let mut ctx = Ctx::new();
+    let mut charge = |h: &mut LiteHandle, name: &str, call: Call, lh: Lh| {
+        let t0 = ctx.now();
+        let err = call(h, &mut ctx, lh).expect_err(name);
+        (err, ctx.now() - t0)
+    };
+    // Each fails on an unknown lh, and on the 4 KB LMR at offset 4096.
+    let ranged: [(&str, Call); 8] = [
+        ("lt_read", |h, c, lh| h.lt_read(c, lh, 4096, &mut [0; 8])),
+        ("lt_write", |h, c, lh| h.lt_write(c, lh, 4096, &[0; 8])),
+        ("lt_memset", |h, c, lh| h.lt_memset(c, lh, 4096, 8, 1)),
+        ("lt_memcpy", |h, c, lh| h.lt_memcpy(c, lh, 4096, lh, 0, 8)),
+        ("lt_memmove", |h, c, lh| h.lt_memmove(c, lh, 0, lh, 4096, 8)),
+        ("lt_fetch_add", |h, c, lh| {
+            h.lt_fetch_add(c, lh, 4096, 1).map(drop)
+        }),
+        ("lt_cmp_swap", |h, c, lh| {
+            h.lt_cmp_swap(c, lh, 4096, 0, 1).map(drop)
+        }),
+        ("lt_test_set", |h, c, lh| {
+            h.lt_test_set(c, lh, 4096, 0, 1).map(drop)
+        }),
+    ];
+    // Each fails on an unknown lh, and with NotMaster on a mapped lh.
+    let mastered: [(&str, Call); 3] = [
+        ("lt_free", |h, c, lh| h.lt_free(c, lh)),
+        ("lt_grant", |h, c, lh| h.lt_grant(c, lh, 0, Perm::RO)),
+        ("lt_move", |h, c, lh| h.lt_move(c, lh, 0)),
+    ];
+    let unmap: (&str, Call) = ("lt_unmap", |h, c, lh| h.lt_unmap(c, lh));
+    let unknown = 1 << 40;
+    // The two errors that fail after an RPC.
+    let rpc_errors = |fast_syscalls: bool| {
+        let cluster = LiteCluster::start_with(
+            rnic::IbConfig::with_nodes(2),
+            LiteConfig {
+                fast_syscalls,
+                ..LiteConfig::default()
+            },
+            lite::QosConfig::default(),
+        )
+        .unwrap();
+        let mut h = cluster.attach(1).unwrap();
+        let mut ctx = Ctx::new();
+        h.lt_malloc(&mut ctx, 1, 4096, "mine", Perm::RW).unwrap();
+        let mut deltas = Vec::new();
+        for (name, master) in [("missing", None), ("mine", Some(0))] {
+            let t0 = ctx.now();
+            let err = match master {
+                None => h.lt_map(&mut ctx, name),
+                Some(node) => h.lt_map_at(&mut ctx, name, node),
+            };
+            assert!(
+                matches!(err, Err(LiteError::NameNotFound { .. })),
+                "{name}: {err:?}"
+            );
+            deltas.push(ctx.now() - t0);
+        }
+        (cluster, deltas)
+    };
+
+    let crossing = LiteConfig::default().syscall_crossing_ns;
+    let (cluster, slow) = rpc_errors(false);
+    let (_, fast) = rpc_errors(true);
+    for (s, f) in slow.iter().zip(&fast) {
+        assert_eq!(s - f, 2 * crossing, "failed RPC: {slow:?} vs {fast:?}");
+    }
+
+    for (user_level, expect) in [(true, 3 * crossing), (false, 0)] {
+        let mut h = if user_level {
+            cluster.attach(0).unwrap()
+        } else {
+            cluster.attach_kernel(0).unwrap()
+        };
+        let lh = h.lt_map(&mut Ctx::new(), "mine").unwrap();
+        for (name, call) in ranged.iter().chain(&mastered).chain([&unmap]) {
+            let (err, ns) = charge(&mut h, name, *call, unknown);
+            assert!(matches!(err, LiteError::BadLh { .. }), "{name}: {err:?}");
+            assert_eq!(
+                ns, expect,
+                "{name} on an unknown lh, user_level={user_level}"
+            );
+        }
+        for (name, call) in &ranged {
+            let (err, ns) = charge(&mut h, name, *call, lh);
+            assert!(
+                matches!(err, LiteError::OutOfBounds { .. }),
+                "{name}: {err:?}"
+            );
+            assert_eq!(ns, expect, "{name} out of bounds, user_level={user_level}");
+        }
+        for (name, call) in &mastered {
+            let (err, ns) = charge(&mut h, name, *call, lh);
+            assert!(matches!(err, LiteError::NotMaster), "{name}: {err:?}");
+            assert_eq!(ns, expect, "{name} not master, user_level={user_level}");
+        }
+    }
 }
 
 #[test]

@@ -44,13 +44,14 @@ struct FluidState {
     credit: i64,
     /// Virtual time the credit was computed at.
     as_of: Nanos,
+    /// Total service time handed out (utilization accounting).
+    busy: Nanos,
 }
 
 /// A single fluid FCFS server in virtual time. See the module docs.
 #[derive(Debug)]
 pub struct Resource {
     state: Mutex<FluidState>,
-    busy: Mutex<Nanos>,
     slack: i64,
     name: &'static str,
 }
@@ -68,8 +69,8 @@ impl Resource {
             state: Mutex::new(FluidState {
                 credit: slack as i64,
                 as_of: 0,
+                busy: 0,
             }),
-            busy: Mutex::new(0),
             slack: slack as i64,
             name,
         }
@@ -83,29 +84,9 @@ impl Resource {
     /// Reserves `service` nanoseconds of this resource for a client whose
     /// clock reads `now`.
     pub fn acquire(&self, now: Nanos, service: Nanos) -> Grant {
-        let mut st = self.state.lock();
-        // Refill idle credit up to `now` (capped at the pipeline window).
-        if now > st.as_of {
-            st.credit = st
-                .credit
-                .saturating_add((now - st.as_of) as i64)
-                .min(self.slack);
-            st.as_of = now;
-        }
-        // The deficit before this grant is the backlog we must wait out.
-        let wait = if st.credit < 0 {
-            (-st.credit) as Nanos
-        } else {
-            0
-        };
-        st.credit -= service as i64;
-        drop(st);
-        *self.busy.lock() += service;
-        let start = now + wait;
-        Grant {
-            start,
-            finish: start + service,
-        }
+        let mut grant = None;
+        self.grant_each(now, &[service], |g| grant = Some(g));
+        grant.expect("one service, one grant")
     }
 
     /// Reserves a batch of back-to-back services for a client whose clock
@@ -121,6 +102,15 @@ impl Resource {
         if services.is_empty() {
             return Vec::new();
         }
+        let mut grants = Vec::with_capacity(services.len());
+        self.grant_each(now, services, |g| grants.push(g));
+        grants
+    }
+
+    /// Under one lock: refills idle credit up to `now` (capped at the
+    /// pipeline window), then grants each service in turn behind the
+    /// deficit left by its predecessors.
+    fn grant_each(&self, now: Nanos, services: &[Nanos], mut out: impl FnMut(Grant)) {
         let mut st = self.state.lock();
         if now > st.as_of {
             st.credit = st
@@ -129,25 +119,21 @@ impl Resource {
                 .min(self.slack);
             st.as_of = now;
         }
-        let mut grants = Vec::with_capacity(services.len());
-        let mut total = 0;
         for &service in services {
+            // The deficit before this grant is the backlog we must wait out.
             let wait = if st.credit < 0 {
                 (-st.credit) as Nanos
             } else {
                 0
             };
             st.credit -= service as i64;
+            st.busy += service;
             let start = now + wait;
-            grants.push(Grant {
+            out(Grant {
                 start,
                 finish: start + service,
             });
-            total += service;
         }
-        drop(st);
-        *self.busy.lock() += total;
-        grants
     }
 
     /// Time at which currently-committed work drains (diagnostics).
@@ -162,7 +148,7 @@ impl Resource {
 
     /// Total service time handed out so far (utilization accounting).
     pub fn busy_time(&self) -> Nanos {
-        *self.busy.lock()
+        self.state.lock().busy
     }
 
     /// Resets the resource to idle at time zero (between experiments).
@@ -170,7 +156,7 @@ impl Resource {
         let mut st = self.state.lock();
         st.credit = self.slack;
         st.as_of = 0;
-        *self.busy.lock() = 0;
+        st.busy = 0;
     }
 }
 
