@@ -26,26 +26,36 @@
 //!
 //! # Commit protocol
 //!
-//! 1. **Claim a slot** on the table's home: CAS the header from a
-//!    claimable state (`FREE`/`DRAINED`) to `(epoch+1, UNDECIDED)`,
-//!    publish the redo log (write set with old versions and new
-//!    payloads), then the lease word. The redo is written *before* the
-//!    lease so a lease whose epoch matches the header certifies a
-//!    complete redo.
-//! 2. **Lock the write set** in ascending record order: CAS each
-//!    version word from its expected version to the lock word.
-//! 3. **Validate the read set**: every read-but-not-written record must
-//!    still carry the version observed by [`Txn::read`]. (Write-set
-//!    records were validated by the lock CAS itself.)
-//! 4. **Decide**: CAS the slot header `UNDECIDED -> COMMITTED`. This
-//!    single word is the transaction's atomic commit point.
-//! 5. **Apply + release**: write every staged payload, then CAS each
-//!    lock word to `old_version + 2`.
-//! 6. **Drain** the slot (`COMMITTED -> DRAINED`), making it claimable
-//!    again only after every lock word referencing it is gone.
+//! Five round trips for a transaction whose reads all fall in its write
+//! set; every multi-op step is one [`LiteHandle::lt_chain`], so its ops
+//! share a doorbell and stay ordered on one QP.
 //!
-//! Every abort path unwinds in reverse: locks CAS back to their old
-//! versions, the slot is finalized `ABORTED` and drained.
+//! 1. **Claim a slot** on the table's home: CAS the header from a
+//!    claimable state (`FREE`/`DRAINED`) to `(epoch+1, UNDECIDED)`. The
+//!    CAS goes straight out from the header this handle cached; on a
+//!    miss it returns the current header, so no separate read is needed.
+//! 2. **Publish** the redo log (write set with old versions and new
+//!    payloads), then the lease word, as one chain. The redo lands
+//!    *before* the lease, so a lease whose epoch matches the header
+//!    certifies a complete redo.
+//! 3. **Lock the write set**: one chain CASes every version word, in
+//!    ascending record order, from its expected version to the lock
+//!    word. If a CAS loses, the locks won above the first loser are
+//!    unwound and the per-record retry loop resumes at the loser: the
+//!    committer only ever waits while holding an ascending prefix.
+//! 4. **Validate** the read set with one chain of zero fetch-adds: every
+//!    read-but-not-written record must still carry the version observed
+//!    by [`Txn::read`] (write-set records were validated by the lock CAS
+//!    itself). Then **decide**: CAS the slot header
+//!    `UNDECIDED -> COMMITTED`, alone. This single word is the
+//!    transaction's atomic commit point.
+//! 5. **Apply, release, drain** as one chain: every staged payload, then
+//!    each lock word CAS to `old_version + 2`, then the slot
+//!    `COMMITTED -> DRAINED`, making it claimable again only after every
+//!    lock word referencing it is gone.
+//!
+//! Every abort path unwinds: locks CAS back to their old versions (one
+//! chain), the slot is finalized `ABORTED` and drained.
 //!
 //! # Crash recovery
 //!
@@ -62,16 +72,19 @@
 //! Leases are **host-wall** milliseconds (simnet virtual clocks are
 //! per-thread and unsynchronized, so they cannot order a crashed
 //! committer against its recoverer). A live committer re-checks its own
-//! lease before applying; once expired it stops touching the table and
-//! reports [`TxnError::Indeterminate`] — recovery owns the outcome.
+//! lease once, before posting the apply chain; once expired it stops
+//! touching the table and reports [`TxnError::Indeterminate`] — recovery
+//! owns the outcome. The check-then-post window is not atomic, so leases
+//! must exceed the worst-case commit latency.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use lite::verify::{fingerprint, proc_id, TxnLog, TxnOp, TxnOutcome};
-use lite::{Lh, LiteError, LiteHandle, Perm};
+use lite::{ChainOp, Lh, LiteError, LiteHandle, Perm};
 use simnet::{Ctx, Nanos};
 
 /// Errors surfaced by the transaction layer.
@@ -199,6 +212,11 @@ fn lock_expired(w: u64) -> bool {
     (now_ms() & 0xffff_ffff) > lock_expiry(w)
 }
 
+/// Whether a slot header can be claimed (`FREE` or `DRAINED`).
+fn claimable(hdr: u64) -> bool {
+    matches!(hdr & 0xf, S_FREE | S_DRAINED)
+}
+
 /// Where to stop a commit mid-protocol without unwinding — the
 /// crash-of-committer hook the recovery tests and chaos sweeps drive.
 /// A fired hook returns [`TxnError::Indeterminate`] and leaves every
@@ -228,6 +246,10 @@ pub struct TxnTable {
     spec: TableSpec,
     payload_p: u64,
     log: Option<Arc<TxnLog>>,
+    /// Per decision slot, the header this handle last wrote or saw. A
+    /// hint only: the claim CAS goes straight out from it, and a miss
+    /// returns the current header.
+    hdr_cache: Vec<AtomicU64>,
 }
 
 impl TxnTable {
@@ -267,12 +289,7 @@ impl TxnTable {
             meta[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
         }
         h.lt_write(ctx, lh, 0, &meta)?;
-        Ok(TxnTable {
-            lh,
-            spec,
-            payload_p,
-            log: None,
-        })
+        Ok(Self::with_spec(lh, spec))
     }
 
     /// Opens a table created elsewhere by name; the spec is read back
@@ -292,18 +309,44 @@ impl TxnTable {
             max_writes: word(4) as usize,
             lease_ms: word(5),
         };
+        Ok(Self::with_spec(lh, spec))
+    }
+
+    fn with_spec(lh: Lh, spec: TableSpec) -> Self {
         let (payload_p, _, _) = Self::layout(&spec);
-        Ok(TxnTable {
+        TxnTable {
             lh,
             spec,
             payload_p,
             log: None,
-        })
+            // A fresh table's slot headers are zero: FREE at epoch 0.
+            hdr_cache: (0..spec.slots).map(|_| AtomicU64::new(S_FREE)).collect(),
+        }
     }
 
     /// The table's shape.
     pub fn spec(&self) -> &TableSpec {
         &self.spec
+    }
+
+    /// The lh of the table's LMR.
+    pub fn lh(&self) -> Lh {
+        self.lh
+    }
+
+    /// Byte offset of record `rec`'s version word in the table's LMR.
+    pub fn version_offset(&self, rec: u64) -> u64 {
+        self.rec_off(rec)
+    }
+
+    /// Counts the decision slots whose transaction is still in flight or
+    /// unsettled (neither `FREE` nor `DRAINED`), reading every header.
+    pub fn busy_slots(&self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<usize> {
+        let mut busy = 0;
+        for s in 0..self.spec.slots {
+            busy += usize::from(!claimable(self.read_word(h, ctx, self.slot_off(s))?));
+        }
+        Ok(busy)
     }
 
     /// Arms serializability recording: every commit/abort through this
@@ -345,16 +388,84 @@ impl TxnTable {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads a *version* word as a zero fetch-add rather than a plain
-    /// read. The atomic's completion stamp is monotone with the
-    /// conflicting lock/release CASes on the same word, and the verb
-    /// advances the caller's virtual clock past it — which is what
+    /// Checks that every `(rec, version)` of `reads` still holds, with
+    /// one chain of zero fetch-adds rather than plain reads. Each
+    /// atomic's completion stamp is monotone with the conflicting
+    /// lock/release CASes on the same word, and the call advances the
+    /// caller's virtual clock past the last of them — which is what
     /// makes the `[invoke, response]` intervals recorded for the
     /// serializability checker sound across unsynchronized per-thread
     /// clocks: a transaction that observed another's commit can never
     /// be real-time-ordered before it.
-    fn read_version(&self, h: &mut LiteHandle, ctx: &mut Ctx, rec: u64) -> TxnResult<u64> {
-        Ok(h.lt_fetch_add(ctx, self.lh, self.rec_off(rec), 0)?)
+    fn versions_unchanged(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        reads: &[(u64, u64)],
+    ) -> TxnResult<bool> {
+        let probes: Vec<ChainOp> = reads
+            .iter()
+            .map(|&(rec, _)| ChainOp::FetchAdd {
+                offset: self.rec_off(rec),
+                delta: 0,
+            })
+            .collect();
+        let seen = h.lt_chain(ctx, self.lh, &probes)?;
+        Ok(seen.iter().zip(reads).all(|(&cur, &(_, v))| cur == v))
+    }
+
+    /// The last header this handle knows for slot `s`.
+    fn cached_hdr(&self, s: u16) -> u64 {
+        self.hdr_cache[s as usize].load(Ordering::Relaxed)
+    }
+
+    fn note_hdr(&self, s: u16, hdr: u64) {
+        self.hdr_cache[s as usize].store(hdr, Ordering::Relaxed);
+    }
+
+    /// A chain of CASes moving each `(rec, from, to)` version word.
+    fn cas_chain(&self, moves: impl IntoIterator<Item = (u64, u64, u64)>) -> Vec<ChainOp<'static>> {
+        moves
+            .into_iter()
+            .map(|(rec, expect, new)| ChainOp::CmpSwap {
+                offset: self.rec_off(rec),
+                expect,
+                new,
+            })
+            .collect()
+    }
+
+    /// Acquires one record's lock word with bounded CAS retries,
+    /// recovering expired lock words on the way; `false` is a conflict.
+    /// `seen` is the result of a lock CAS already issued (by the lock
+    /// chain), counted as the first attempt.
+    fn lock_record(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        rec: u64,
+        old_v: u64,
+        lw: u64,
+        mut seen: Option<u64>,
+    ) -> TxnResult<bool> {
+        for attempt in 0..LOCK_ATTEMPTS {
+            let cur = match seen.take() {
+                Some(cur) => cur,
+                None => h.lt_cmp_swap(ctx, self.lh, self.rec_off(rec), old_v, lw)?,
+            };
+            if cur == old_v {
+                return Ok(true);
+            }
+            if !is_locked(cur) {
+                return Ok(false); // version moved: straight conflict
+            }
+            if lock_expired(cur) {
+                self.recover_from_lock(h, ctx, cur)?;
+            } else {
+                Self::backoff(ctx, attempt);
+            }
+        }
+        Ok(false)
     }
 
     /// One contention backoff step: virtual think time plus a little
@@ -468,8 +579,10 @@ impl TxnTable {
         let mut all_settled = true;
         for j in 0..count as usize {
             let eoff = self.slot_entry_off(slot, j);
-            let rec = self.read_word(h, ctx, eoff)?;
-            let old_v = self.read_word(h, ctx, eoff + 8)?;
+            let mut entry = [0u8; 16];
+            h.lt_read(ctx, self.lh, eoff, &mut entry)?;
+            let rec = u64::from_le_bytes(entry[..8].try_into().unwrap());
+            let old_v = u64::from_le_bytes(entry[8..].try_into().unwrap());
             if rec >= self.spec.records {
                 return Err(TxnError::Invalid("corrupt redo entry"));
             }
@@ -521,19 +634,30 @@ impl TxnTable {
         // Only a slot whose every redo entry is confirmed settled may
         // be reclaimed — lock words must never outlive their slot.
         if all_settled {
-            let _ = h.lt_cmp_swap(
+            let prev = h.lt_cmp_swap(
                 ctx,
                 self.lh,
                 self.slot_off(slot),
                 (epoch << 4) | state,
                 (epoch << 4) | S_DRAINED,
             )?;
+            let now = if prev == (epoch << 4) | state {
+                (epoch << 4) | S_DRAINED
+            } else {
+                prev
+            };
+            self.note_hdr(slot, now);
         }
         Ok(())
     }
 
     /// Claims a decision slot, publishing the redo log and lease for
     /// `writes`. Scavenges expired slots when the ring is exhausted.
+    ///
+    /// The claim CAS goes straight out from the cached header (normally
+    /// this handle's own last drain); on a miss the CAS returns the
+    /// current header, which gets one more CAS when it is claimable.
+    /// Only a cached header that is not claimable costs a read.
     #[allow(clippy::type_complexity)]
     fn claim_slot(
         &self,
@@ -546,33 +670,30 @@ impl TxnTable {
         for pass in 0..3u32 {
             for i in 0..self.spec.slots as u64 {
                 let s = ((start + i) % self.spec.slots as u64) as u16;
-                let hdr = self.read_word(h, ctx, self.slot_off(s))?;
-                let (epoch, state) = (hdr >> 4, hdr & 0xf);
-                if state == S_FREE || state == S_DRAINED {
-                    let next = ((epoch + 1) << 4) | S_UNDECIDED;
-                    if h.lt_cmp_swap(ctx, self.lh, self.slot_off(s), hdr, next)? != hdr {
-                        continue;
-                    }
-                    // Redo first, then the lease: a lease whose epoch
-                    // matches the header certifies a complete redo.
-                    let entry_sz = (16 + self.payload_p) as usize;
-                    let mut redo = vec![0u8; 8 + writes.len() * entry_sz];
-                    redo[..8].copy_from_slice(&(writes.len() as u64).to_le_bytes());
-                    for (j, (rec, old_v, payload)) in writes.iter().enumerate() {
-                        let e = &mut redo[8 + j * entry_sz..8 + (j + 1) * entry_sz];
-                        e[..8].copy_from_slice(&rec.to_le_bytes());
-                        e[8..16].copy_from_slice(&old_v.to_le_bytes());
-                        e[16..16 + payload.len()].copy_from_slice(payload);
-                    }
-                    h.lt_write(ctx, self.lh, self.slot_off(s) + 16, &redo)?;
-                    let lease = (expiry << 16) | ((epoch + 1) & 0xffff);
-                    h.lt_write(ctx, self.lh, self.slot_off(s) + 8, &lease.to_le_bytes())?;
-                    return Ok((s, epoch + 1));
+                let mut hdr = self.cached_hdr(s);
+                if !claimable(hdr) {
+                    hdr = self.read_word(h, ctx, self.slot_off(s))?;
                 }
-                if pass > 0 && state != S_DRAINED {
+                for _ in 0..2 {
+                    if !claimable(hdr) {
+                        break;
+                    }
+                    let epoch = (hdr >> 4) + 1;
+                    let next = (epoch << 4) | S_UNDECIDED;
+                    let prev = h.lt_cmp_swap(ctx, self.lh, self.slot_off(s), hdr, next)?;
+                    if prev == hdr {
+                        self.note_hdr(s, next);
+                        self.publish_redo(h, ctx, s, epoch, writes, expiry)?;
+                        return Ok((s, epoch));
+                    }
+                    hdr = prev;
+                }
+                self.note_hdr(s, hdr);
+                if pass > 0 && !claimable(hdr) {
                     // Ring exhausted once already: scavenge expired
                     // slots (lease epoch must match the header's, or
                     // the owner hasn't published its lease yet).
+                    let epoch = hdr >> 4;
                     let lease = self.read_word(h, ctx, self.slot_off(s) + 8)?;
                     if (lease & 0xffff) == (epoch & 0xffff)
                         && (now_ms() & 0xffff_ffff) > (lease >> 16) & 0xffff_ffff
@@ -584,6 +705,44 @@ impl TxnTable {
             Self::backoff(ctx, pass);
         }
         Err(TxnError::Conflict { validation: false })
+    }
+
+    /// Publishes a claimed slot's redo log (write set with old versions
+    /// and new payloads), then its lease, as one chain. The chain keeps
+    /// them ordered on the QP, so a lease whose epoch matches the header
+    /// certifies a complete redo.
+    #[allow(clippy::type_complexity)]
+    fn publish_redo(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        s: u16,
+        epoch: u64,
+        writes: &[(u64, u64, &[u8])],
+        expiry: u64,
+    ) -> TxnResult<()> {
+        let entry_sz = (16 + self.payload_p) as usize;
+        let mut redo = vec![0u8; 8 + writes.len() * entry_sz];
+        redo[..8].copy_from_slice(&(writes.len() as u64).to_le_bytes());
+        for (j, (rec, old_v, payload)) in writes.iter().enumerate() {
+            let e = &mut redo[8 + j * entry_sz..8 + (j + 1) * entry_sz];
+            e[..8].copy_from_slice(&rec.to_le_bytes());
+            e[8..16].copy_from_slice(&old_v.to_le_bytes());
+            e[16..16 + payload.len()].copy_from_slice(payload);
+        }
+        let lease = ((expiry << 16) | (epoch & 0xffff)).to_le_bytes();
+        let publish = [
+            ChainOp::Write {
+                offset: self.slot_off(s) + 16,
+                data: &redo,
+            },
+            ChainOp::Write {
+                offset: self.slot_off(s) + 8,
+                data: &lease,
+            },
+        ];
+        h.lt_chain(ctx, self.lh, &publish)?;
+        Ok(())
     }
 
     fn record_txn(
@@ -704,10 +863,9 @@ impl Txn<'_> {
 
         // Read-only fast path: validate and return — no slot, no locks.
         if self.writes.is_empty() {
-            for (&rec, &(v, _)) in self.reads.iter() {
-                if t.read_version(h, ctx, rec)? != v {
-                    return fail(&self, h, ctx, true);
-                }
+            let reads: Vec<(u64, u64)> = self.reads.iter().map(|(&r, &(v, _))| (r, v)).collect();
+            if !t.versions_unchanged(h, ctx, &reads)? {
+                return fail(&self, h, ctx, true);
             }
             t.record_txn(
                 h,
@@ -751,54 +909,58 @@ impl Txn<'_> {
         let lw = lock_word(slot, epoch, expiry);
         let hdr_undecided = (epoch << 4) | S_UNDECIDED;
 
-        // Lock the write set in ascending record order.
-        let mut locked: Vec<(u64, u64)> = Vec::with_capacity(write_list.len());
         let unwind = |h: &mut LiteHandle, ctx: &mut Ctx, locked: &[(u64, u64)]| -> TxnResult<()> {
-            for &(rec, old_v) in locked {
-                let _ = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), lw, old_v)?;
-            }
+            let release = t.cas_chain(locked.iter().map(|&(rec, old_v)| (rec, lw, old_v)));
+            h.lt_chain(ctx, t.lh, &release)?;
             // Finalize + drain our own slot (steal-abort CAS cannot
             // fail against ourselves unless a scavenger beat us to it —
             // either way the slot ends settled).
             t.settle_slot(h, ctx, slot, hdr_undecided)
         };
-        for &(rec, old_v, _) in &write_list {
-            let mut won = false;
-            for attempt in 0..LOCK_ATTEMPTS {
-                let cur = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), old_v, lw)?;
-                if cur == old_v {
-                    won = true;
-                    break;
+
+        // Lock the write set in ascending record order, as one chain.
+        let acquire = t.cas_chain(write_list.iter().map(|&(rec, old_v, _)| (rec, old_v, lw)));
+        let seen = h.lt_chain(ctx, t.lh, &acquire)?;
+        let won = |k: usize| seen[k] == write_list[k].1;
+        let first_lost = (0..write_list.len()).find(|&k| !won(k));
+        let held = first_lost.unwrap_or(write_list.len());
+        let mut locked: Vec<(u64, u64)> = write_list[..held]
+            .iter()
+            .map(|&(rec, old_v, _)| (rec, old_v))
+            .collect();
+        if let Some(k) = first_lost {
+            // Keep only the ascending prefix below the first loser: locks
+            // won above it are unwound, so the committer never waits on
+            // a record while holding a higher one.
+            let above = t.cas_chain(
+                (k + 1..write_list.len())
+                    .filter(|&j| won(j))
+                    .map(|j| (write_list[j].0, lw, write_list[j].1)),
+            );
+            h.lt_chain(ctx, t.lh, &above)?;
+            for (j, &(rec, old_v, _)) in write_list.iter().enumerate().skip(k) {
+                let first = (j == k).then_some(seen[k]);
+                if !t.lock_record(h, ctx, rec, old_v, lw, first)? {
+                    unwind(h, ctx, &locked)?;
+                    return fail(&self, h, ctx, false);
                 }
-                if is_locked(cur) {
-                    if lock_expired(cur) {
-                        t.recover_from_lock(h, ctx, cur)?;
-                    } else {
-                        TxnTable::backoff(ctx, attempt);
-                    }
-                    continue;
-                }
-                break; // version moved: straight conflict
+                locked.push((rec, old_v));
             }
-            if !won {
-                unwind(h, ctx, &locked)?;
-                return fail(&self, h, ctx, false);
-            }
-            locked.push((rec, old_v));
         }
         if crash == CrashPoint::AfterLock {
             return self.vanish(h, ctx, invoke);
         }
 
         // Validate the read set (reads not covered by a lock CAS).
-        for (&rec, &(v, _)) in self.reads.iter() {
-            if self.writes.contains_key(&rec) {
-                continue;
-            }
-            if t.read_version(h, ctx, rec)? != v {
-                unwind(h, ctx, &locked)?;
-                return fail(&self, h, ctx, true);
-            }
+        let reads: Vec<(u64, u64)> = self
+            .reads
+            .iter()
+            .filter(|(r, _)| !self.writes.contains_key(r))
+            .map(|(&r, &(v, _))| (r, v))
+            .collect();
+        if !t.versions_unchanged(h, ctx, &reads)? {
+            unwind(h, ctx, &locked)?;
+            return fail(&self, h, ctx, true);
         }
 
         // The commit point: one CAS on the decision slot.
@@ -819,32 +981,56 @@ impl Txn<'_> {
             return self.vanish(h, ctx, invoke);
         }
 
-        // Apply, then release. Once our own lease is expired we must
-        // stop touching the table (recovery may already be rolling us
-        // forward) and report indeterminate.
+        // Apply, release and drain as one chain: the QP keeps every
+        // payload ahead of the releases that publish it. Once our own
+        // lease is expired we must stop touching the table (recovery
+        // may already be rolling us forward) and report indeterminate.
+        if (now_ms() & 0xffff_ffff) > expiry {
+            return self.vanish(h, ctx, invoke);
+        }
         let hdr_committed = (epoch << 4) | S_COMMITTED;
-        for (i, (&rec, payload)) in self.writes.iter().enumerate() {
-            if crash == CrashPoint::MidApply && i == 1 {
-                return self.vanish(h, ctx, invoke);
-            }
-            if (now_ms() & 0xffff_ffff) > expiry {
-                return self.vanish(h, ctx, invoke);
-            }
-            h.lt_write(ctx, t.lh, t.rec_off(rec) + 8, payload)?;
+        let hdr_drained = (epoch << 4) | S_DRAINED;
+        let mut finish: Vec<ChainOp> = self
+            .writes
+            .iter()
+            .map(|(&rec, payload)| ChainOp::Write {
+                offset: t.rec_off(rec) + 8,
+                data: payload,
+            })
+            .collect();
+        finish.extend(
+            t.cas_chain(
+                locked
+                    .iter()
+                    .map(|&(rec, old_v)| (rec, lw, old_v.wrapping_add(2))),
+            ),
+        );
+        finish.push(ChainOp::CmpSwap {
+            offset: t.slot_off(slot),
+            expect: hdr_committed,
+            new: hdr_drained,
+        });
+        // A crash hook posts only the prefix up to its crash point.
+        let n = locked.len();
+        let cut = match crash {
+            CrashPoint::MidApply if n > 1 => Some(1),
+            CrashPoint::MidRelease if n > 1 => Some(n + 1),
+            _ => None,
+        };
+        if let Some(cut) = cut {
+            h.lt_chain(ctx, t.lh, &finish[..cut])?;
+            return self.vanish(h, ctx, invoke);
         }
-        for (i, &(rec, old_v)) in locked.iter().enumerate() {
-            if crash == CrashPoint::MidRelease && i == 1 {
-                return self.vanish(h, ctx, invoke);
-            }
-            let _ = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), lw, old_v.wrapping_add(2))?;
-        }
-        let _ = h.lt_cmp_swap(
-            ctx,
-            t.lh,
-            t.slot_off(slot),
-            hdr_committed,
-            (epoch << 4) | S_DRAINED,
-        )?;
+        let olds = h.lt_chain(ctx, t.lh, &finish)?;
+        let prev = olds.last().copied().unwrap_or(hdr_committed);
+        t.note_hdr(
+            slot,
+            if prev == hdr_committed {
+                hdr_drained
+            } else {
+                prev
+            },
+        );
 
         t.record_txn(
             h,

@@ -24,6 +24,7 @@
 //! | `LT_fetch-add`   | [`LiteHandle::lt_fetch_add`]             |
 //! | `LT_test-set`    | [`LiteHandle::lt_test_set`]              |
 //! | `LT_cmp-swap`    | [`LiteHandle::lt_cmp_swap`] (general CAS; `lt_test_set` delegates) |
+//! | (extension)      | [`LiteHandle::lt_chain`]: writes and atomics on one LMR, one doorbell per node |
 
 use std::sync::Arc;
 
@@ -57,6 +58,45 @@ pub struct LockId {
 
 /// An opaque LITE handle to an LMR (the paper's `lh`).
 pub type Lh = u64;
+
+/// One op of an [`LiteHandle::lt_chain`], addressed by byte offset in
+/// the chain's LMR.
+#[derive(Debug, Clone, Copy)]
+pub enum ChainOp<'a> {
+    /// Write `data` at `offset`.
+    Write {
+        /// Byte offset in the LMR.
+        offset: u64,
+        /// Payload.
+        data: &'a [u8],
+    },
+    /// Fetch-and-add `delta` to the u64 at `offset`.
+    FetchAdd {
+        /// Byte offset of the word.
+        offset: u64,
+        /// Addend.
+        delta: u64,
+    },
+    /// Compare-and-swap the u64 at `offset` from `expect` to `new`.
+    CmpSwap {
+        /// Byte offset of the word.
+        offset: u64,
+        /// Expected value.
+        expect: u64,
+        /// Replacement value.
+        new: u64,
+    },
+}
+
+impl ChainOp<'_> {
+    /// The checked range: `(offset, len)`.
+    fn range(&self) -> (u64, usize) {
+        match *self {
+            ChainOp::Write { offset, data } => (offset, data.len()),
+            ChainOp::FetchAdd { offset, .. } | ChainOp::CmpSwap { offset, .. } => (offset, 8),
+        }
+    }
+}
 
 /// An incoming RPC held by a server thread; reply through
 /// [`LiteHandle::lt_reply_rpc`].
@@ -1634,6 +1674,154 @@ impl LiteHandle {
                 result
             })
         })
+    }
+
+    /// Runs `ops` — one-sided writes and atomics on the LMR behind `lh`
+    /// — in order, and returns each atomic's old value in chain order.
+    ///
+    /// The whole chain is one system call and one [`Self::access`]:
+    /// every range is checked and pinned before the first post, so an
+    /// unknown lh, a missing permission or an out-of-bounds op fails the
+    /// chain before any byte lands. Runs of ops towards one node go out
+    /// as one doorbell chain on one QP, and the call waits once, for
+    /// the last completion. A one-op chain, and every chain with
+    /// `batch_posting` off (the doorbell ablation), runs each op as its
+    /// own call, exactly as if issued through [`Self::lt_write`],
+    /// [`Self::lt_fetch_add`] and [`Self::lt_cmp_swap`] one by one.
+    pub fn lt_chain(&mut self, ctx: &mut Ctx, lh: Lh, ops: &[ChainOp]) -> LiteResult<Vec<u64>> {
+        if ops.len() < 2 || !self.kernel.config.batch_posting {
+            return self.chain_unbatched(ctx, lh, ops);
+        }
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let ranges: Vec<_> = ops
+                .iter()
+                .map(|op| {
+                    let (offset, len) = op.range();
+                    (lh, offset, len, Perm::RW)
+                })
+                .collect();
+            this.access(ctx, &ranges, |this, ctx, checked| {
+                let mut pins = Vec::with_capacity(ops.len());
+                for (op, c) in ops.iter().zip(checked) {
+                    pins.push(this.pin_pieces(ctx, &c.entry, op.range().0, &c.pieces)?);
+                }
+                // Build every descriptor before the first post; write
+                // payloads are staged back to back in the scratch region.
+                let staged_len = ops.iter().map(|op| match op {
+                    ChainOp::Write { data, .. } => data.len(),
+                    _ => 0,
+                });
+                Self::ensure(&this.kernel, &mut this.staging, staged_len.sum())?;
+                let mem = Arc::clone(this.kernel.fabric().mem(this.kernel.node()));
+                let mut staged = this.staging.addr;
+                let mut kops = Vec::with_capacity(ops.len());
+                let mut atomics = Vec::new();
+                for (op, Checked { pieces, .. }) in ops.iter().zip(checked) {
+                    // An atomic's word must live inside one chunk.
+                    let word = || match pieces[..] {
+                        [(node, word)] => Ok((node, word.addr)),
+                        _ => Err(LiteError::StraddlesChunk {
+                            offset: op.range().0,
+                            len: 8,
+                        }),
+                    };
+                    match *op {
+                        ChainOp::Write { data, .. } => {
+                            mem.write(staged, data)?;
+                            for (node, c) in pieces {
+                                let src = vec![Chunk {
+                                    addr: staged,
+                                    len: c.len,
+                                }];
+                                kops.push(Op::write(*node, c.addr, src, c.len as usize));
+                                staged += c.len;
+                            }
+                        }
+                        ChainOp::FetchAdd { delta, .. } => {
+                            let (node, addr) = word()?;
+                            atomics.push(kops.len());
+                            kops.push(Op::FetchAdd { node, addr, delta });
+                        }
+                        ChainOp::CmpSwap { expect, new, .. } => {
+                            let (node, addr) = word()?;
+                            atomics.push(kops.len());
+                            kops.push(Op::CmpSwap {
+                                node,
+                                addr,
+                                expect,
+                                new,
+                            });
+                        }
+                    }
+                }
+                let result = this.kernel.rdma_chain(ctx, this.prio, &kops);
+                if let Ok(comps) = &result {
+                    let last = comps.iter().map(|c| c.stamp).fold(ctx.now(), Nanos::max);
+                    this.finish_blocking(ctx, last);
+                }
+                // The guards outlive every post: eviction drains pins.
+                drop(pins);
+                for (op, c) in ops.iter().zip(checked) {
+                    if let ChainOp::Write { offset, data } = *op {
+                        this.record_hist(
+                            crate::verify::Key::Reg {
+                                node: c.entry.id.node,
+                                idx: c.entry.id.idx,
+                                offset,
+                                len: data.len() as u64,
+                            },
+                            crate::verify::OpKind::Write {
+                                fp: crate::verify::fingerprint(data),
+                            },
+                            0,
+                            result.is_ok(),
+                            start,
+                            ctx.now(),
+                        );
+                    }
+                }
+                let comps = result?;
+                Ok(atomics.into_iter().map(|k| comps[k].value).collect())
+            })
+        })
+    }
+
+    /// [`Self::lt_chain`] without a doorbell chain: every range is
+    /// checked first (for free — a bad op still fails the whole chain
+    /// before any byte lands, charging one call), then each op runs as
+    /// its own call. A stale (relocated) range is left to the op's own
+    /// call to refresh.
+    fn chain_unbatched(&mut self, ctx: &mut Ctx, lh: Lh, ops: &[ChainOp]) -> LiteResult<Vec<u64>> {
+        let bad = ops.iter().find_map(|op| {
+            let (offset, len) = op.range();
+            match self
+                .kernel
+                .lookup_lh(self.pid, lh)
+                .and_then(|e| e.check(offset, len, Perm::RW))
+            {
+                Ok(_) | Err(LiteError::Relocated) => None,
+                Err(e) => Some(e),
+            }
+        });
+        if let Some(e) = bad {
+            return self.syscall(ctx, |_, _| Err(e));
+        }
+        let mut values = Vec::new();
+        for op in ops {
+            match *op {
+                ChainOp::Write { offset, data } => self.lt_write(ctx, lh, offset, data)?,
+                ChainOp::FetchAdd { offset, delta } => {
+                    values.push(self.lt_fetch_add(ctx, lh, offset, delta)?)
+                }
+                ChainOp::CmpSwap {
+                    offset,
+                    expect,
+                    new,
+                } => values.push(self.lt_cmp_swap(ctx, lh, offset, expect, new)?),
+            }
+        }
+        Ok(values)
     }
 }
 

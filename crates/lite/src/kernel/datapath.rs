@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rnic::{
-    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, Sge, VerbsError,
-    WritePost,
+    AtomicKind, ChainOutcome, ChainWr, FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType,
+    RemoteAddr, Sge, VerbsError, WritePost,
 };
 use simnet::{transfer_time, Ctx, Nanos, Resource};
 use smem::{PhysAllocator, PhysMem};
@@ -695,21 +695,22 @@ impl RnicDataPath {
         }
     }
 
-    /// Write-imm posts race with the remote poller's credit reposting;
-    /// RNR (exhausted credits) is transient, so retry briefly. The
-    /// batched variant is safe to retry whole: `post_write_many` claims
-    /// credits atomically and rolls back on failure.
-    fn write_many_rnr_retry(
+    /// Posts a doorbell chain on `qp`, appending to `done`. Write-imm
+    /// posts race with the remote poller's credit reposting; RNR
+    /// (exhausted credits) is transient and fails validation before any
+    /// side effect, so the remaining suffix retries briefly.
+    fn chain_rnr_retry(
         &self,
         ctx: &mut Ctx,
         qp: &Qp,
-        posts: &[WritePost],
-    ) -> LiteResult<Vec<rnic::WriteOutcome>> {
+        wrs: &[ChainWr],
+        done: &mut Vec<ChainOutcome>,
+    ) -> LiteResult<()> {
         let nic = self.fabric.nic(self.node);
         let mut tries = 0;
         loop {
-            match nic.post_write_many(ctx, qp, posts) {
-                Ok(outcomes) => return Ok(outcomes),
+            match nic.post_chain(ctx, qp, &wrs[done.len()..], done) {
+                Ok(()) => return Ok(()),
                 Err(rnic::VerbsError::ReceiverNotReady) if tries < 1000 => {
                     tries += 1;
                     std::thread::yield_now();
@@ -720,62 +721,86 @@ impl RnicDataPath {
         }
     }
 
-    /// Posts a doorbell chain of writes towards one peer: per-op mapping
-    /// checks and QoS, then one `post_write_many` so the host post cost
-    /// and QP-context touch are paid once for the whole run.
-    fn post_write_batch(
+    /// One attempt at a doorbell chain of remote writes and atomics
+    /// towards `dst`, resuming after the `done.len()` ops that already
+    /// completed: per-op mapping checks (and QoS for writes), then one
+    /// [`rnic::Nic::post_chain`], so the host post cost and QP-context
+    /// touch are paid once for the whole remaining run. `aseqs` holds
+    /// each atomic's exactly-once sequence.
+    fn post_chain_once(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
         dst: NodeId,
         ops: &[Op],
-    ) -> LiteResult<Vec<Completion>> {
+        aseqs: &[u64],
+        done: &mut Vec<Completion>,
+    ) -> LiteResult<()> {
         let start = ctx.now();
-        let mut posts = Vec::with_capacity(ops.len());
-        let mut metas = Vec::with_capacity(ops.len());
-        for op in ops {
-            let Op::Write {
-                dst_addr,
-                src,
-                len,
-                imm,
-                ..
-            } = op
-            else {
-                unreachable!("batch runs contain only writes");
+        let first = done.len();
+        let mut wrs = Vec::with_capacity(ops.len() - first);
+        for (op, &aseq) in ops[first..].iter().zip(&aseqs[first..]) {
+            let (addr, kind) = match op {
+                Op::Write {
+                    dst_addr,
+                    src,
+                    len,
+                    imm,
+                    ..
+                } => {
+                    if imm.is_none() {
+                        ctx.work(self.map_check_ns);
+                    }
+                    self.qos_before(ctx, prio, dst, *len as u64);
+                    wrs.push(ChainWr::Write(WritePost {
+                        wr_id: 0,
+                        sge: Sge::Phys {
+                            lkey: self.global_lkey,
+                            chunks: src.clone(),
+                        },
+                        remote: RemoteAddr {
+                            rkey: self.rkey(dst)?,
+                            addr: *dst_addr,
+                        },
+                        imm: *imm,
+                        signaled: false,
+                    }));
+                    continue;
+                }
+                Op::FetchAdd { addr, delta, .. } => (*addr, AtomicKind::FetchAdd(*delta)),
+                Op::CmpSwap {
+                    addr, expect, new, ..
+                } => (*addr, AtomicKind::CmpSwap(*expect, *new)),
+                Op::Read { .. } => unreachable!("chains carry writes and atomics only"),
             };
-            if imm.is_none() {
-                ctx.work(self.map_check_ns);
-            }
-            self.qos_before(ctx, prio, dst, *len as u64);
-            metas.push((*len as u64, imm.is_none()));
-            posts.push(WritePost {
-                wr_id: 0,
-                sge: Sge::Phys {
-                    lkey: self.global_lkey,
-                    chunks: src.clone(),
-                },
+            ctx.work(self.map_check_ns);
+            wrs.push(ChainWr::Atomic {
                 remote: RemoteAddr {
                     rkey: self.rkey(dst)?,
-                    addr: *dst_addr,
+                    addr,
                 },
-                imm: *imm,
-                signaled: false,
+                kind,
+                // Tagged with the logical-op sequence: a resumed chain
+                // replays a landed atomic from the responder's memo.
+                token: Some((self.node, aseq)),
             });
         }
         let qp = self.qp_to(dst, prio)?;
-        let outcomes = self.write_many_rnr_retry(ctx, &qp, &posts)?;
-        let mut comps = Vec::with_capacity(outcomes.len());
-        for ((bytes, plain), o) in metas.into_iter().zip(outcomes) {
-            if plain && prio == Priority::High {
-                self.qos_after_high(dst, o.completion, bytes, o.completion.saturating_sub(start));
+        let mut outcomes = Vec::with_capacity(wrs.len());
+        let result = self.chain_rnr_retry(ctx, &qp, &wrs, &mut outcomes);
+        for (op, o) in ops[first..].iter().zip(outcomes) {
+            if let Op::Write { len, imm: None, .. } = op {
+                if prio == Priority::High {
+                    let latency = o.completion.saturating_sub(start);
+                    self.qos_after_high(dst, o.completion, *len as u64, latency);
+                }
             }
-            comps.push(Completion {
+            done.push(Completion {
                 stamp: o.completion,
-                value: 0,
+                value: o.value,
             });
         }
-        Ok(comps)
+        result
     }
 
     /// A single posting attempt of one op — the body of `post` before
@@ -829,16 +854,18 @@ impl RnicDataPath {
                     addr: *dst_addr,
                 };
                 let comp = if imm.is_some() {
-                    let posts = [WritePost {
+                    let wrs = [ChainWr::Write(WritePost {
                         wr_id: 0,
                         sge,
                         remote,
                         imm: *imm,
                         signaled: false,
-                    }];
+                    })];
                     // Single-element chain: identical to a plain post, but
                     // shares the RNR retry loop.
-                    self.write_many_rnr_retry(ctx, &qp, &posts)?[0].completion
+                    let mut done = Vec::with_capacity(1);
+                    self.chain_rnr_retry(ctx, &qp, &wrs, &mut done)?;
+                    done[0].completion
                 } else {
                     self.fabric
                         .nic(self.node)
@@ -996,62 +1023,6 @@ impl DataPath for RnicDataPath {
             self.obs
                 .trace(op_id, class, EventKind::Posted, prio, peer, start);
         }
-        // History capture for the linearizability checker: atomics are
-        // recorded here, at the datapath, so lock-word traffic is seen
-        // too — not just `lt_fetch_add`/`lt_test_set`. Faults inject
-        // before side effects and retries are replay-exact, so an Ok
-        // completion's value is the one real apply; an Err is recorded
-        // as pending (the checker explores both did/didn't branches).
-        let cell_op = match op {
-            Op::FetchAdd { node, addr, delta } => Some((
-                *node,
-                *addr,
-                crate::verify::OpKind::FetchAdd { delta: *delta },
-            )),
-            Op::CmpSwap {
-                node,
-                addr,
-                expect,
-                new,
-            } => Some((
-                *node,
-                *addr,
-                crate::verify::OpKind::TestSet {
-                    expect: *expect,
-                    new: *new,
-                },
-            )),
-            _ => None,
-        };
-        let record_cell = |ret: u64, ok: bool, response: Nanos| {
-            if let (Some((node, addr, kind)), Some(log)) = (cell_op, self.obs.history()) {
-                // Key atomic histories by *logical* location when the
-                // cell lives in a tracked LMR chunk: the physical
-                // address changes when the chunk migrates, but the
-                // (LMR id, offset) identity does not — so histories on
-                // a cell stay one linearizable history across eviction,
-                // fetch-back, and rebalance. Untracked cells (lock
-                // words, budget-0 runs) keep their physical key,
-                // byte-identical to the pre-tiering behavior.
-                let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
-                    Some((id, off)) => crate::verify::Key::LogicalCell {
-                        node: id.node,
-                        idx: id.idx,
-                        off,
-                    },
-                    None => crate::verify::Key::Cell { node, addr },
-                };
-                log.record(crate::verify::HistOp {
-                    proc: crate::verify::proc_id(self.node, 0),
-                    key,
-                    kind,
-                    ret,
-                    ok,
-                    invoke: start,
-                    response,
-                });
-            }
-        };
         let trace = OpTrace { op_id, class, prio };
         // One sequence per *logical* op, minted before the retry loop:
         // every attempt below replays the same exactly-once token.
@@ -1060,24 +1031,11 @@ impl DataPath for RnicDataPath {
             dp.post_once(ctx, prio, op, aseq)
         }) {
             Ok(c) => {
-                record_cell(c.value, true, c.stamp);
-                self.obs.record_completion(
-                    class,
-                    prio,
-                    peer,
-                    op.bytes(),
-                    c.stamp.saturating_sub(start),
-                    c.stamp,
-                    sampled,
-                );
-                if sampled {
-                    self.obs
-                        .trace(op_id, class, EventKind::Completed, prio, peer, c.stamp);
-                }
+                self.record_done(op, trace, peer, start, c, sampled);
                 Ok(c)
             }
             Err(e) => {
-                record_cell(0, false, ctx.now());
+                self.record_cell(op, 0, false, start, ctx.now());
                 self.obs.record_failure(peer);
                 self.obs
                     .trace(op_id, class, EventKind::Failed, prio, peer, ctx.now());
@@ -1086,111 +1044,191 @@ impl DataPath for RnicDataPath {
         }
     }
 
-    /// Doorbell batching: consecutive remote writes towards the same peer
-    /// are chained through one `post_write_many` (one host post, one
-    /// QP-context touch, one engine batch — §6.1's sharing taken one step
-    /// further). Everything else falls back to sequential posts, as does
-    /// the whole chain when `batch_posting` is off.
+    /// Doorbell batching: every run of two or more remote writes and
+    /// atomics towards the same peer is chained through one
+    /// [`rnic::Nic::post_chain`] (one host post, one QP-context touch,
+    /// one engine batch — §6.1's sharing taken one step further). Reads
+    /// and local ops post alone, as does every op when `batch_posting`
+    /// is off.
     fn post_many(&self, ctx: &mut Ctx, prio: Priority, ops: &[Op]) -> LiteResult<Vec<Completion>> {
         if !self.batch || ops.len() < 2 {
             return ops.iter().map(|op| self.post(ctx, prio, op)).collect();
         }
+        let chains_to = |op: &Op, dst: NodeId| {
+            dst != self.node && op.dst_node() == dst && !matches!(op, Op::Read { .. })
+        };
         let mut out = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
-            let run_dst = match &ops[i] {
-                Op::Write { dst_node, .. } if *dst_node != self.node => *dst_node,
-                _ => {
-                    out.push(self.post(ctx, prio, &ops[i])?);
-                    i += 1;
-                    continue;
-                }
-            };
-            let mut j = i + 1;
-            while j < ops.len() {
-                match &ops[j] {
-                    Op::Write { dst_node, .. } if *dst_node == run_dst => j += 1,
-                    _ => break,
-                }
-            }
-            if j - i >= 2 {
-                self.ensure_qps(run_dst)?;
-                for op in &ops[i..j] {
-                    self.touch_mm(op);
-                }
-                let start = ctx.now();
-                let sampled = self.obs.sample();
-                // One op id per chained write; the chain retries as a
-                // unit, so retry/failure events carry the first op's id.
-                let ids: Vec<u64> = (i..j).map(|_| self.obs.next_op_id()).collect();
-                if sampled {
-                    for &id in &ids {
-                        self.obs
-                            .trace(id, OpClass::Write, EventKind::Posted, prio, run_dst, start);
-                        self.obs.trace(
-                            id,
-                            OpClass::Write,
-                            EventKind::Batched,
-                            prio,
-                            run_dst,
-                            start,
-                        );
-                    }
-                }
-                let trace = OpTrace {
-                    op_id: ids[0],
-                    class: OpClass::Write,
-                    prio,
-                };
-                // The whole chain retries as a unit: `post_write_batch`
-                // claims credits atomically and rolls back on failure.
-                let res = self.with_retry(ctx, run_dst, Some(trace), |dp, ctx| {
-                    dp.post_write_batch(ctx, prio, run_dst, &ops[i..j])
-                });
-                match res {
-                    Ok(comps) => {
-                        for (k, c) in comps.iter().enumerate() {
-                            self.obs.record_completion(
-                                OpClass::Write,
-                                prio,
-                                run_dst,
-                                ops[i + k].bytes(),
-                                c.stamp.saturating_sub(start),
-                                c.stamp,
-                                sampled,
-                            );
-                            if sampled {
-                                self.obs.trace(
-                                    ids[k],
-                                    OpClass::Write,
-                                    EventKind::Completed,
-                                    prio,
-                                    run_dst,
-                                    c.stamp,
-                                );
-                            }
-                        }
-                        out.extend(comps);
-                    }
-                    Err(e) => {
-                        self.obs.record_failure(run_dst);
-                        self.obs.trace(
-                            ids[0],
-                            OpClass::Write,
-                            EventKind::Failed,
-                            prio,
-                            run_dst,
-                            ctx.now(),
-                        );
-                        return Err(e);
-                    }
-                }
+            let dst = ops[i].dst_node();
+            let run = ops[i..].iter().take_while(|op| chains_to(op, dst)).count();
+            if run >= 2 {
+                out.extend(self.post_chain(ctx, prio, dst, &ops[i..i + run])?);
+                i += run;
             } else {
                 out.push(self.post(ctx, prio, &ops[i])?);
+                i += 1;
             }
-            i = j;
         }
         Ok(out)
+    }
+}
+
+impl RnicDataPath {
+    /// History capture for the linearizability checker: atomics are
+    /// recorded here, at the datapath, so lock-word traffic is seen too —
+    /// not just `lt_fetch_add`/`lt_test_set`. Faults inject before side
+    /// effects and retries are replay-exact, so an Ok completion's value
+    /// is the one real apply; an Err is recorded as pending (the checker
+    /// explores both did/didn't branches). Non-atomics record nothing.
+    fn record_cell(&self, op: &Op, ret: u64, ok: bool, invoke: Nanos, response: Nanos) {
+        let (node, addr, kind) = match op {
+            Op::FetchAdd { node, addr, delta } => (
+                *node,
+                *addr,
+                crate::verify::OpKind::FetchAdd { delta: *delta },
+            ),
+            Op::CmpSwap {
+                node,
+                addr,
+                expect,
+                new,
+            } => (
+                *node,
+                *addr,
+                crate::verify::OpKind::TestSet {
+                    expect: *expect,
+                    new: *new,
+                },
+            ),
+            _ => return,
+        };
+        let Some(log) = self.obs.history() else {
+            return;
+        };
+        // Key atomic histories by *logical* location when the cell lives
+        // in a tracked LMR chunk: the physical address changes when the
+        // chunk migrates, but the (LMR id, offset) identity does not — so
+        // histories on a cell stay one linearizable history across
+        // eviction, fetch-back, and rebalance. Untracked cells (lock
+        // words, budget-0 runs) keep their physical key, byte-identical
+        // to the pre-tiering behavior.
+        let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
+            Some((id, off)) => crate::verify::Key::LogicalCell {
+                node: id.node,
+                idx: id.idx,
+                off,
+            },
+            None => crate::verify::Key::Cell { node, addr },
+        };
+        log.record(crate::verify::HistOp {
+            proc: crate::verify::proc_id(self.node, 0),
+            key,
+            kind,
+            ret,
+            ok,
+            invoke,
+            response,
+        });
+    }
+
+    /// Books one completed op: its history entry, its latency sample,
+    /// and — when sampled — its `Completed` trace event.
+    fn record_done(
+        &self,
+        op: &Op,
+        t: OpTrace,
+        peer: NodeId,
+        start: Nanos,
+        c: Completion,
+        sampled: bool,
+    ) {
+        self.record_cell(op, c.value, true, start, c.stamp);
+        self.obs.record_completion(
+            t.class,
+            t.prio,
+            peer,
+            op.bytes(),
+            c.stamp.saturating_sub(start),
+            c.stamp,
+            sampled,
+        );
+        if sampled {
+            self.obs.trace(
+                t.op_id,
+                t.class,
+                EventKind::Completed,
+                t.prio,
+                peer,
+                c.stamp,
+            );
+        }
+    }
+
+    /// A doorbell chain of remote writes and atomics towards `dst`
+    /// through the recovery layer. A retried attempt resumes after the
+    /// ops that already completed — behind a lost atomic ack, that is
+    /// the atomic itself, which its exactly-once token replays — so no
+    /// completed op is ever posted twice. Every op is booked as if
+    /// posted alone; the retry/failure events carry the id of the
+    /// chain's first op.
+    fn post_chain(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        dst: NodeId,
+        ops: &[Op],
+    ) -> LiteResult<Vec<Completion>> {
+        self.ensure_qps(dst)?;
+        for op in ops {
+            self.touch_mm(op);
+        }
+        let start = ctx.now();
+        let sampled = self.obs.sample();
+        let traces: Vec<OpTrace> = ops
+            .iter()
+            .map(|op| OpTrace {
+                op_id: self.obs.next_op_id(),
+                class: op.class(),
+                prio,
+            })
+            .collect();
+        if sampled {
+            for t in &traces {
+                for kind in [EventKind::Posted, EventKind::Batched] {
+                    self.obs.trace(t.op_id, t.class, kind, prio, dst, start);
+                }
+            }
+        }
+        // One exactly-once sequence per atomic, minted before the retry
+        // loop (writes need none).
+        let aseqs: Vec<u64> = ops
+            .iter()
+            .map(|op| match op.class() {
+                OpClass::Atomic => self.atomic_seq.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            })
+            .collect();
+        let mut done = Vec::with_capacity(ops.len());
+        let result = self.with_retry(ctx, dst, Some(traces[0]), |dp, ctx| {
+            dp.post_chain_once(ctx, prio, dst, ops, &aseqs, &mut done)
+        });
+        for ((op, &t), &c) in ops.iter().zip(&traces).zip(&done) {
+            self.record_done(op, t, dst, start, c, sampled);
+        }
+        match result {
+            Ok(()) => Ok(done),
+            Err(e) => {
+                for op in &ops[done.len()..] {
+                    self.record_cell(op, 0, false, start, ctx.now());
+                }
+                self.obs.record_failure(dst);
+                let t = traces[done.len()];
+                self.obs
+                    .trace(t.op_id, t.class, EventKind::Failed, prio, dst, ctx.now());
+                Err(e)
+            }
+        }
     }
 }
 
@@ -1610,6 +1648,23 @@ impl LiteKernel {
             i = j;
         }
         Ok(last)
+    }
+
+    /// Posts a list of one-sided writes and atomics in order; runs
+    /// towards one remote node share a doorbell chain
+    /// ([`DataPath::post_many`]). Completions are returned in op order.
+    pub(crate) fn rdma_chain(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        ops: &[Op],
+    ) -> LiteResult<Vec<Completion>> {
+        for op in ops {
+            if let Op::Write { len, .. } = op {
+                self.counters.count_write(*len as u64);
+            }
+        }
+        self.try_datapath()?.post_many(ctx, prio, ops)
     }
 
     /// One-sided fetch-and-add on a u64 anywhere in the cluster.

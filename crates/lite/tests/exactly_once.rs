@@ -5,10 +5,11 @@
 //! datapath mints one sequence per logical op outside `with_retry` and
 //! tags every attempt with it, so the responder NIC's dedup filter turns
 //! the retry into a replay of the one real apply. These tests drive the
-//! full stack (`lt_fetch_add` / `lt_test_set` / `lt_cmp_swap` →
-//! datapath → verbs) under seeded ack loss and assert no double-apply.
+//! full stack (`lt_fetch_add` / `lt_test_set` / `lt_cmp_swap` /
+//! `lt_chain` → datapath → verbs) under seeded ack loss and assert no
+//! double-apply.
 
-use lite::{LiteCluster, LiteConfig, Perm, QosConfig};
+use lite::{ChainOp, LiteCluster, LiteConfig, Perm, QosConfig};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -106,9 +107,66 @@ fn test_set_exactly_once_under_ack_loss() {
     assert_eq!(u64::from_le_bytes(word), 0);
 }
 
+/// Doorbell chains of `[write 64 B, fetch_add 1, cmp_swap]` under ack
+/// loss: a retry resumes at the atomic whose ack was lost, so the counter
+/// advances once per chain, every CAS reports its true old value, and
+/// the NIC transmits each chain's write bytes exactly once.
+#[test]
+fn chains_exactly_once_under_ack_loss() {
+    let cluster = cluster_with_retry();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h
+        .lt_malloc(&mut ctx, 1, 4096, "eo.chain", Perm::RW)
+        .unwrap();
+    // Wire the QPs before measuring.
+    h.lt_write(&mut ctx, lh, 0, &[0u8; 16]).unwrap();
+
+    let nic = cluster.fabric().nic(0);
+    let before = nic.stats().bytes_tx;
+    cluster.fabric().install_fault_plan(ack_plan(41, 0.5, 16));
+    let n = 48u64;
+    for i in 0..n {
+        let payload = [i as u8; 64];
+        let olds = h
+            .lt_chain(
+                &mut ctx,
+                lh,
+                &[
+                    ChainOp::Write {
+                        offset: 64 + (i % 8) * 64,
+                        data: &payload,
+                    },
+                    ChainOp::FetchAdd {
+                        offset: 0,
+                        delta: 1,
+                    },
+                    ChainOp::CmpSwap {
+                        offset: 8,
+                        expect: i,
+                        new: i + 1,
+                    },
+                ],
+            )
+            .unwrap();
+        assert_eq!(olds, vec![i, i], "counter and CAS chain must not skip");
+    }
+    let stats = cluster.fabric().fault_stats();
+    cluster.fabric().clear_fault_plan();
+    let sent = nic.stats().bytes_tx - before;
+
+    let mut words = [0u8; 16];
+    h.lt_read(&mut ctx, lh, 0, &mut words).unwrap();
+    assert_eq!(u64::from_le_bytes(words[..8].try_into().unwrap()), n);
+    assert_eq!(u64::from_le_bytes(words[8..].try_into().unwrap()), n);
+    assert!(stats.ack_drops > 0, "the plan must actually have fired");
+    assert_eq!(sent, n * 64, "no write may be posted twice");
+}
+
 /// The atomic history recorded under ack loss stays linearizable: Ok
 /// completions correspond to exactly one apply each, so the checker
 /// finds a witness (a double-apply would leave a gap no order explains).
+/// Chained atomics are recorded one by one, just like single posts.
 #[test]
 fn atomic_history_linearizable_under_ack_loss() {
     let cluster = cluster_with_retry();
@@ -124,6 +182,24 @@ fn atomic_history_linearizable_under_ack_loss() {
         } else {
             let _ = h.lt_fetch_add(&mut ctx, lh, 0, 1);
         }
+    }
+    for i in 0..16u64 {
+        let chain = [
+            ChainOp::FetchAdd {
+                offset: 0,
+                delta: 1,
+            },
+            ChainOp::CmpSwap {
+                offset: 0,
+                expect: 32 + i,
+                new: 40 + i,
+            },
+            ChainOp::FetchAdd {
+                offset: 0,
+                delta: 2,
+            },
+        ];
+        let _ = h.lt_chain(&mut ctx, lh, &chain);
     }
     cluster.fabric().clear_fault_plan();
 

@@ -99,6 +99,9 @@ struct Caches {
 pub struct NicStats {
     /// One-sided + atomic operations issued from this NIC.
     pub one_sided_ops: u64,
+    /// Send-queue doorbells rung: one per singly posted work request
+    /// and one per [`Nic::post_chain`].
+    pub doorbells: u64,
     /// Two-sided sends issued from this NIC.
     pub send_ops: u64,
     /// Payload bytes transmitted.
@@ -137,6 +140,7 @@ pub struct Nic {
     mrs: RwLock<HashMap<u32, Arc<MrInner>>>,
     qps: RwLock<HashMap<QpId, Arc<Qp>>>,
     one_sided_ops: AtomicU64,
+    doorbells: AtomicU64,
     send_ops: AtomicU64,
     bytes_tx: AtomicU64,
     page_faults: AtomicU64,
@@ -162,8 +166,8 @@ struct Resolved {
     penalty: Nanos,
 }
 
-/// One write work request inside a doorbell batch
-/// ([`Nic::post_write_many`]).
+/// One write work request inside a doorbell chain
+/// ([`ChainWr::Write`]).
 #[derive(Debug, Clone)]
 pub struct WritePost {
     /// Caller-chosen id returned in the (signaled) send completion.
@@ -176,6 +180,34 @@ pub struct WritePost {
     pub imm: Option<u32>,
     /// Whether to generate a send-CQ completion.
     pub signaled: bool,
+}
+
+/// One work request of a doorbell chain ([`Nic::post_chain`]).
+#[derive(Debug, Clone)]
+pub enum ChainWr {
+    /// An RDMA write, optionally with immediate data.
+    Write(WritePost),
+    /// An atomic on a remote 8-byte word, optionally tagged with an
+    /// exactly-once token (see [`Nic::fetch_add_tagged`]).
+    Atomic {
+        /// Remote word.
+        remote: RemoteAddr,
+        /// Fetch-add or compare-and-swap.
+        kind: AtomicKind,
+        /// `(requester node, per-logical-op sequence)`, stable across
+        /// retries of the same logical op.
+        token: Option<(NodeId, u64)>,
+    },
+}
+
+/// What one work request of a chain did.
+#[derive(Debug, Clone, Copy)]
+pub struct ChainOutcome {
+    /// When the local completion is observable; never earlier than the
+    /// previous work request's.
+    pub completion: Nanos,
+    /// An atomic's old value; 0 for writes.
+    pub value: u64,
 }
 
 /// Timing of a one-sided write, for baselines that detect incoming data
@@ -213,6 +245,7 @@ impl Nic {
             mrs: RwLock::new(HashMap::new()),
             qps: RwLock::new(HashMap::new()),
             one_sided_ops: AtomicU64::new(0),
+            doorbells: AtomicU64::new(0),
             send_ops: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
             page_faults: AtomicU64::new(0),
@@ -243,6 +276,7 @@ impl Nic {
         let c = self.caches.lock();
         NicStats {
             one_sided_ops: self.one_sided_ops.load(Ordering::Relaxed),
+            doorbells: self.doorbells.load(Ordering::Relaxed),
             send_ops: self.send_ops.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             mr_hits: c.mr_keys.hits(),
@@ -688,6 +722,12 @@ impl Nic {
         Ok(())
     }
 
+    /// The host side of posting: one doorbell, paying `post_wr_ns`.
+    fn ring_doorbell(&self, ctx: &mut Ctx) {
+        ctx.work(self.cost.post_wr_ns);
+        self.doorbells.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn check_up(&self, fabric: &IbFabric, peer: NodeId) -> VerbsResult<()> {
         if fabric.is_down(self.node) || fabric.is_down(peer) {
             return Err(VerbsError::Timeout);
@@ -765,7 +805,7 @@ impl Nic {
         let fabric = self.fabric();
         let (peer_node, peer_qp) = qp.peer()?;
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
+        self.ring_doorbell(ctx);
         let len = sge.len();
 
         // Local NIC: WQE fetch + lkey/PTE resolution, then DMA-read the
@@ -821,32 +861,44 @@ impl Nic {
         })
     }
 
-    /// Posts a chain of RDMA writes on one QP with a single doorbell.
+    /// Posts a chain of RDMA writes and atomics on one QP with a single
+    /// doorbell, appending one [`ChainOutcome`] per work request to
+    /// `done` as it completes.
     ///
-    /// The host pays `post_wr_ns` and the QP-context lookup **once** for
-    /// the whole chain, and the WQE-engine charges are granted in one
-    /// batch ([`Resource::acquire_batch`]) — this is the amortization a
-    /// real NIC gets from doorbell batching. Everything downstream of the
-    /// engine (wire serialization, remote resolution, delivery ordering,
-    /// receive credits) is charged per WQE exactly as in
-    /// [`Nic::post_write_outcome`], so a one-element batch is
-    /// indistinguishable from a single post apart from the warm-QPC
-    /// difference being folded into the first element.
+    /// The chain passes one fault gate and the host pays `post_wr_ns`
+    /// and the QP-context lookup **once**; the WQE-engine charges are
+    /// granted in one batch ([`Resource::acquire_batch`]) — the
+    /// amortization a real NIC gets from doorbell batching. Everything
+    /// downstream of the engine is charged per WQE exactly as the single
+    /// verbs charge it ([`Nic::post_write_outcome`], the atomics), and
+    /// the WQEs execute in chain order: each delivery is ordered on the
+    /// QP, and each completion stamp is at or after its predecessor's.
     ///
-    /// The batch is atomic with respect to validation: every SGE, remote
-    /// address, and receive credit is checked/claimed before any memory
-    /// is written or any completion pushed. On failure the claimed
-    /// credits are re-posted and the error returned with no side effects.
-    pub fn post_write_many(
+    /// Validation is all-or-nothing: every SGE and remote address is
+    /// resolved, and every receive credit claimed, before any memory is
+    /// touched; on failure the credits are re-posted and nothing lands.
+    ///
+    /// Each atomic checks its ack leg at its own position. A lost ack
+    /// returns [`VerbsError::Timeout`] with `done` holding the work
+    /// requests before that atomic — the atomic itself applied, the rest
+    /// never ran. Retrying with `&wrs[done.len()..]` resumes at the
+    /// atomic, whose exactly-once token returns the memoized value, so a
+    /// write that already landed is never posted again.
+    pub fn post_chain(
         &self,
         ctx: &mut Ctx,
         qp: &Qp,
-        posts: &[WritePost],
-    ) -> VerbsResult<Vec<WriteOutcome>> {
-        if posts.is_empty() {
-            return Ok(Vec::new());
+        wrs: &[ChainWr],
+        done: &mut Vec<ChainOutcome>,
+    ) -> VerbsResult<()> {
+        if wrs.is_empty() {
+            return Ok(());
         }
-        if !qp.supports_write() {
+        let supported = |wr: &ChainWr| match wr {
+            ChainWr::Write(_) => qp.supports_write(),
+            ChainWr::Atomic { .. } => qp.supports_read_atomic(),
+        };
+        if !wrs.iter().all(supported) {
             return Err(VerbsError::BadOpForQpType);
         }
         let fabric = self.fabric();
@@ -855,31 +907,33 @@ impl Nic {
         let rnic = fabric.try_nic(peer_node)?;
 
         // Validation pass: resolve both sides of every WQE and claim all
-        // receive credits before touching memory, so a mid-batch failure
-        // cannot leave half the chain delivered.
-        let mut locals = Vec::with_capacity(posts.len());
-        let mut remotes = Vec::with_capacity(posts.len());
+        // receive credits before touching memory, so a bad WQE cannot
+        // leave half the chain delivered.
         let qpc_pen = self.touch_qpc(qp.id);
         let rqpc_pen = rnic.touch_qpc(peer_qp);
-        let mut validate = || -> VerbsResult<()> {
-            for (i, p) in posts.iter().enumerate() {
-                let len = p.sge.len();
-                let local = self.resolve_local(&p.sge)?;
-                let rres = rnic.resolve_remote(&p.remote, len, true, false, false)?;
-                // The doorbell chain touches the QP context once; only
-                // the first WQE can miss.
-                let lpen = local.penalty + if i == 0 { qpc_pen } else { 0 };
-                let rpen = rres.penalty + if i == 0 { rqpc_pen } else { 0 };
-                locals.push((local, lpen));
-                remotes.push((rres, rpen));
-            }
-            Ok(())
-        };
-        validate()?;
+        let mut staged = Vec::with_capacity(wrs.len());
+        for (i, wr) in wrs.iter().enumerate() {
+            let (local, rres) = match wr {
+                ChainWr::Write(p) => {
+                    let local = self.resolve_local(&p.sge)?;
+                    let rres = rnic.resolve_remote(&p.remote, p.sge.len(), true, false, false)?;
+                    (Some(local), rres)
+                }
+                ChainWr::Atomic { remote, .. } => {
+                    (None, rnic.resolve_remote(remote, 8, false, false, true)?)
+                }
+            };
+            // The doorbell chain touches the QP context once; only the
+            // first WQE can miss.
+            let (lq, rq) = if i == 0 { (qpc_pen, rqpc_pen) } else { (0, 0) };
+            let lpen = local.as_ref().map_or(0, |l| l.penalty) + lq;
+            let rpen = rres.penalty + rq;
+            staged.push((local, lpen, rres, rpen));
+        }
         let rqp = rnic.qp(peer_qp)?;
         let mut credits = Vec::new();
-        for p in posts {
-            if p.imm.is_some() {
+        for wr in wrs {
+            if let ChainWr::Write(WritePost { imm: Some(_), .. }) = wr {
                 match rqp.rq.consume() {
                     Ok(entry) => credits.push(entry),
                     Err(e) => {
@@ -896,59 +950,88 @@ impl Nic {
 
         // One doorbell: a single host post charge, then the engine grants
         // the whole WQE chain back-to-back.
-        ctx.work(self.cost.post_wr_ns);
-        let services: Vec<Nanos> = locals
+        self.ring_doorbell(ctx);
+        let services: Vec<Nanos> = staged
             .iter()
-            .map(|(_, lpen)| self.cost.nic_engine_ns + lpen)
+            .map(|(_, lpen, ..)| self.cost.nic_engine_ns + lpen)
             .collect();
         let engine_grants = self.engine.acquire_batch(ctx.now(), &services);
 
-        let mut outcomes = Vec::with_capacity(posts.len());
         let mut credits = credits.into_iter();
-        let mut total_len = 0u64;
-        for (i, p) in posts.iter().enumerate() {
-            let len = p.sge.len();
-            let (local, _) = &locals[i];
-            let (rres, rpen) = &remotes[i];
-            let data = Self::read_fragments(&self.mem(), &local.chunks)?;
-            let g2 = self
-                .tx
-                .acquire(engine_grants[i].finish, self.cost.link_time(len as u64));
-            let arrive = rnic.rx_arrival(g2.start + self.cost.propagation_ns, len);
-            let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
-            Self::write_fragments(fabric.mem(peer_node), &rres.chunks, &data)?;
-            let done = qp.order_delivery(g3.finish);
-            if let Some(imm) = p.imm {
-                let entry = credits.next().expect("credit claimed per imm");
-                let mut wc = Wc::new(
-                    entry.wr_id,
-                    WcOpcode::RecvRdmaWithImm,
-                    len,
-                    done + self.cost.recv_handle_ns,
-                );
-                wc.imm = Some(imm);
-                wc.src = Some((self.node, qp.id));
-                rqp.recv_cq.push(wc);
+        let mut floor = 0;
+        let mut apply = || -> VerbsResult<()> {
+            for (i, wr) in wrs.iter().enumerate() {
+                let (local, _, rres, rpen) = &staged[i];
+                let out = match wr {
+                    ChainWr::Write(p) => {
+                        let len = p.sge.len();
+                        let local = local.as_ref().expect("writes resolve a local SGE");
+                        let data = Self::read_fragments(&self.mem(), &local.chunks)?;
+                        let g2 = self
+                            .tx
+                            .acquire(engine_grants[i].finish, self.cost.link_time(len as u64));
+                        let arrive = rnic.rx_arrival(g2.start + self.cost.propagation_ns, len);
+                        let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
+                        Self::write_fragments(fabric.mem(peer_node), &rres.chunks, &data)?;
+                        let visible = qp.order_delivery(g3.finish);
+                        if let Some(imm) = p.imm {
+                            let entry = credits.next().expect("credit claimed per imm");
+                            let mut wc = Wc::new(
+                                entry.wr_id,
+                                WcOpcode::RecvRdmaWithImm,
+                                len,
+                                visible + self.cost.recv_handle_ns,
+                            );
+                            wc.imm = Some(imm);
+                            wc.src = Some((self.node, qp.id));
+                            rqp.recv_cq.push(wc);
+                        }
+                        let comp = match qp.typ {
+                            QpType::Rc => visible + self.cost.propagation_ns + self.cost.ack_ns,
+                            _ => g2.finish,
+                        };
+                        if p.signaled {
+                            let mut wc = Wc::new(p.wr_id, WcOpcode::RdmaWrite, len, comp);
+                            wc.imm = p.imm;
+                            qp.send_cq.push(wc);
+                        }
+                        self.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
+                        ChainOutcome {
+                            completion: comp,
+                            value: 0,
+                        }
+                    }
+                    ChainWr::Atomic { kind, token, .. } => {
+                        let arrive = engine_grants[i].finish + self.cost.propagation_ns;
+                        let g3 = rnic.engine.acquire(
+                            arrive,
+                            self.cost.nic_engine_ns + self.cost.atomic_extra_ns + rpen,
+                        );
+                        let visible = qp.order_delivery(g3.finish);
+                        let comp = visible + self.cost.propagation_ns + self.cost.ack_ns;
+                        let (value, stamp) =
+                            rnic.apply_atomic(&fabric, self.node, rres, *kind, *token, comp)?;
+                        ChainOutcome {
+                            completion: stamp,
+                            value,
+                        }
+                    }
+                };
+                floor = floor.max(out.completion);
+                done.push(ChainOutcome {
+                    completion: floor,
+                    ..out
+                });
+                self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
             }
-            let comp = match qp.typ {
-                QpType::Rc => done + self.cost.propagation_ns + self.cost.ack_ns,
-                _ => g2.finish,
-            };
-            if p.signaled {
-                let mut wc = Wc::new(p.wr_id, WcOpcode::RdmaWrite, len, comp);
-                wc.imm = p.imm;
-                qp.send_cq.push(wc);
-            }
-            total_len += len as u64;
-            outcomes.push(WriteOutcome {
-                completion: comp,
-                remote_visible: done,
-            });
+            Ok(())
+        };
+        let result = apply();
+        // WQEs behind a failed one never ran: hand back their credits.
+        for entry in credits {
+            rqp.rq.post(entry);
         }
-        self.one_sided_ops
-            .fetch_add(posts.len() as u64, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(total_len, Ordering::Relaxed);
-        Ok(outcomes)
+        result
     }
 
     /// Posts a one-sided RDMA read. Data lands in the local SGE buffer.
@@ -967,7 +1050,7 @@ impl Nic {
         let fabric = self.fabric();
         let (peer_node, peer_qp) = qp.peer()?;
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
+        self.ring_doorbell(ctx);
         let len = sge.len();
 
         // Request leg: local engine, then the (tiny) request on the wire.
@@ -1088,7 +1171,7 @@ impl Nic {
         let fabric = self.fabric();
         let (peer_node, peer_qp) = qp.peer()?;
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
+        self.ring_doorbell(ctx);
         let lpen = self.touch_qpc(qp.id);
         let g1 = self
             .engine
@@ -1101,45 +1184,57 @@ impl Nic {
             arrive,
             self.cost.nic_engine_ns + self.cost.atomic_extra_ns + rpen,
         );
-        let target = rres.chunks[0].addr;
-        let mem = fabric.mem(peer_node);
+        let comp = g3.finish + self.cost.propagation_ns + self.cost.ack_ns;
+        let (old, stamp) = rnic.apply_atomic(&fabric, self.node, &rres, kind, token, comp)?;
+        ctx.wait_until(stamp);
+        ctx.work(self.cost.cq_poll_ns);
+        self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(old)
+    }
+
+    /// The responder half of an atomic on this NIC's memory: applies
+    /// `kind` to the resolved word, unless `token` names an apply that
+    /// already happened, then runs the ack-leg fault gate. Returns the
+    /// old value and the completion stamp (`comp` for a replay).
+    fn apply_atomic(
+        &self,
+        fabric: &IbFabric,
+        requester: NodeId,
+        target: &Resolved,
+        kind: AtomicKind,
+        token: Option<(NodeId, u64)>,
+        comp: Nanos,
+    ) -> VerbsResult<(u64, Nanos)> {
+        // Exactly-once filter for tagged ops: a retry whose first attempt
+        // already applied (its ack leg was lost) short-circuits to the
+        // memoized old value — the word is never touched twice.
+        if let Some(old) = token.and_then(|(src, seq)| self.atomic_memo_get(src, seq)) {
+            return Ok((old, comp));
+        }
         // Apply through the stamped variants: the completion stamp is
         // taken inside the target page's critical section, so stamps of
         // conflicting atomics are monotone in the order the memory
         // system actually applied them — even when host-thread
         // scheduling reorders the appliers relative to virtual time.
-        let comp = g3.finish + self.cost.propagation_ns + self.cost.ack_ns;
-        // Exactly-once filter for tagged ops: a retry whose first attempt
-        // already applied (its ack leg was lost) short-circuits to the
-        // memoized old value — the word is never touched twice.
-        if let Some((src, seq)) = token {
-            if let Some(old) = rnic.atomic_memo_get(src, seq) {
-                ctx.wait_until(comp);
-                ctx.work(self.cost.cq_poll_ns);
-                self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
-                return Ok(old);
-            }
-        }
+        let mem = fabric.mem(self.node);
+        let addr = target.chunks[0].addr;
         let (old, stamp) = match kind {
-            AtomicKind::FetchAdd(d) => mem.fetch_add_u64_stamped(target, d, comp)?,
-            AtomicKind::CmpSwap(e, n) => mem.cas_u64_stamped(target, e, n, comp)?,
+            AtomicKind::FetchAdd(d) => mem.fetch_add_u64_stamped(addr, d, comp)?,
+            AtomicKind::CmpSwap(e, n) => mem.cas_u64_stamped(addr, e, n, comp)?,
         };
         // The memo is recorded before the ack-leg gate below: if the ack
         // is dropped, the retry must find the apply it is retrying.
         if let Some((src, seq)) = token {
-            rnic.atomic_memo_put(src, seq, old);
+            self.atomic_memo_put(src, seq, old);
         }
         // Response-leg injection point — the apply above is durable, so a
         // Drop here is the lost-ACK window that makes blind retry of a
         // non-idempotent verb double-apply (the request-leg gate cannot
         // model it: it fires before side effects).
-        if fabric.fault_check_ack(self.node, peer_node) == FaultAction::Drop {
+        if fabric.fault_check_ack(requester, self.node) == FaultAction::Drop {
             return Err(VerbsError::Timeout);
         }
-        ctx.wait_until(stamp);
-        ctx.work(self.cost.cq_poll_ns);
-        self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
-        Ok(old)
+        Ok((old, stamp))
     }
 
     // ------------------------------------------------------------------
@@ -1207,7 +1302,7 @@ impl Nic {
     ) -> VerbsResult<Nanos> {
         let fabric = self.fabric();
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
+        self.ring_doorbell(ctx);
         let len = sge.len();
         let local = self.resolve_local(sge)?;
         let lpen = local.penalty + self.touch_qpc(qp.id);
@@ -1260,8 +1355,12 @@ impl Nic {
     }
 }
 
-enum AtomicKind {
+/// The operation of a one-sided atomic on a remote 8-byte word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AtomicKind {
+    /// Fetch-and-add this delta.
     FetchAdd(u64),
+    /// Compare-and-swap `(expect, new)`.
     CmpSwap(u64, u64),
 }
 
