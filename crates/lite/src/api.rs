@@ -217,23 +217,24 @@ impl LiteHandle {
 
     /// Appends one op to the linearizability history, when recording is
     /// armed (see [`crate::LiteCluster::record_history`]). One `OnceLock`
-    /// load when unarmed.
+    /// load when unarmed: `kind` (and any fingerprint inside it) is built
+    /// only once a log is installed.
     fn record_hist(
         &self,
         key: crate::verify::Key,
-        kind: crate::verify::OpKind,
+        kind: impl FnOnce() -> crate::verify::OpKind,
         ret: u64,
         ok: bool,
         invoke: Nanos,
         response: Nanos,
     ) {
-        let Some(log) = self.kernel.observe().and_then(|obs| obs.history().cloned()) else {
+        let Some(log) = self.kernel.observe().and_then(|obs| obs.history()) else {
             return;
         };
         log.record(crate::verify::HistOp {
             proc: crate::verify::proc_id(self.kernel.node(), self.pid),
             key,
-            kind,
+            kind: kind(),
             ret,
             ok,
             invoke,
@@ -853,7 +854,7 @@ impl LiteHandle {
                         offset,
                         len: data.len() as u64,
                     },
-                    crate::verify::OpKind::Write {
+                    || crate::verify::OpKind::Write {
                         fp: crate::verify::fingerprint(data),
                     },
                     0,
@@ -916,7 +917,7 @@ impl LiteHandle {
                         offset,
                         len: buf.len() as u64,
                     },
-                    crate::verify::OpKind::Read {
+                    || crate::verify::OpKind::Read {
                         // Failed reads are excluded by the checker; fp is
                         // meaningful only on the ok path.
                         fp: if result.is_ok() {
@@ -1384,7 +1385,7 @@ impl LiteHandle {
                     node: lock.node,
                     addr: lock.addr,
                 },
-                crate::verify::OpKind::Lock,
+                || crate::verify::OpKind::Lock,
                 0,
                 result.is_ok(),
                 start,
@@ -1487,7 +1488,7 @@ impl LiteHandle {
                     node: lock.node,
                     addr: lock.addr,
                 },
-                crate::verify::OpKind::Unlock,
+                || crate::verify::OpKind::Unlock,
                 0,
                 result.is_ok(),
                 start,
@@ -1580,7 +1581,7 @@ impl LiteHandle {
             let end = ctx.now();
             this.record_hist(
                 crate::verify::Key::Barrier { id },
-                crate::verify::OpKind::Barrier { count },
+                || crate::verify::OpKind::Barrier { count },
                 0,
                 result.is_ok(),
                 start,
@@ -1771,7 +1772,7 @@ impl LiteHandle {
                                 offset,
                                 len: data.len() as u64,
                             },
-                            crate::verify::OpKind::Write {
+                            || crate::verify::OpKind::Write {
                                 fp: crate::verify::fingerprint(data),
                             },
                             0,

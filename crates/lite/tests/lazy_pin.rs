@@ -209,6 +209,14 @@ fn atomics_survive_concurrent_eviction() {
         panic!("atomic still Relocated after 100 retries");
     }
 
+    // Start the atomics only once the churn has landed an eviction, so
+    // they overlap it however fast they run (bounded by a host deadline;
+    // the `evictions > 0` check below reports a churn that never lands).
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while kernel.mm_stats().evictions == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     const ADDS: u64 = 200;
     let mut prev_sum = 0u64;
     for i in 0..ADDS {

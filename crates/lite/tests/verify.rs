@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig};
+use lite::verify::{fingerprint, OpKind};
+use lite::{ChainOp, LiteCluster, LiteConfig, LiteError, Perm, QosConfig};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -245,4 +246,57 @@ fn mixed_workload_records_linearizable_history() {
         "mixed workload not linearizable: {:?}",
         outcome.violations
     );
+}
+
+/// With a log armed, one `lt_write`, one `lt_read` of those bytes, one
+/// `lt_read` of untouched memory and one two-write `lt_chain` record
+/// fingerprints of exactly the bytes moved (untouched memory reads as
+/// fp 0).
+#[test]
+fn armed_capture_records_data_fingerprints() {
+    let cluster = LiteCluster::start(2).unwrap();
+    let log = cluster.record_history().unwrap();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h.lt_malloc(&mut ctx, 1, 8192, "capture", Perm::RW).unwrap();
+
+    let data: Vec<u8> = (0..100u8).collect();
+    h.lt_write(&mut ctx, lh, 64, &data).unwrap();
+    let mut back = vec![0; data.len()];
+    h.lt_read(&mut ctx, lh, 64, &mut back).unwrap();
+    assert_eq!(back, data);
+    let mut fresh = vec![0xAA; 32];
+    h.lt_read(&mut ctx, lh, 4096, &mut fresh).unwrap();
+    assert_eq!(fresh, vec![0; 32]);
+    let (a, b) = (vec![7u8; 24], vec![9u8; 40]);
+    h.lt_chain(
+        &mut ctx,
+        lh,
+        &[
+            ChainOp::Write {
+                offset: 512,
+                data: &a,
+            },
+            ChainOp::Write {
+                offset: 1024,
+                data: &b,
+            },
+        ],
+    )
+    .unwrap();
+
+    let reg = |op: &lite::verify::HistOp| match op.key {
+        lite::verify::Key::Reg { offset, len, .. } => Some((offset, len, op.kind, op.ok)),
+        _ => None,
+    };
+    let got: Vec<_> = log.snapshot().ops.iter().filter_map(reg).collect();
+    let (fp, fa, fb) = (fingerprint(&data), fingerprint(&a), fingerprint(&b));
+    let expect = vec![
+        (64, 100, OpKind::Write { fp }, true),
+        (64, 100, OpKind::Read { fp }, true),
+        (4096, 32, OpKind::Read { fp: 0 }, true),
+        (512, 24, OpKind::Write { fp: fa }, true),
+        (1024, 40, OpKind::Write { fp: fb }, true),
+    ];
+    assert_eq!(got, expect);
 }
