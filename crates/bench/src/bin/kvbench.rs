@@ -77,7 +77,6 @@ struct RunResult {
     kernel_rpc_high_p999: Nanos,
     kernel_rpc_low_p999: Nanos,
     kv_puts: u64,
-    kv_gets: u64,
 }
 
 /// One load point under one QoS mode: fresh cluster, fresh service,
@@ -156,22 +155,20 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
     }
 
     // Kernel-side view: the clients' RPC histograms split by priority
-    // (gets high, puts low) and the leader's service gauges.
+    // (gets high, puts low); the service's own count of committed puts.
     let client_stats = cluster.attach(CLIENTS[0]).unwrap().lt_stats();
     let rpc_p999 = |prio| {
         client_stats
             .class(lite::OpClass::Rpc, prio)
             .map_or(0, |s| s.p999)
     };
-    let leader = cluster.kernel(LEADER).stats();
     let result = RunResult {
         gets: summarize(&get_lats, SLO_GET_NS),
         puts: summarize(&put_lats, SLO_PUT_NS),
         max_lag,
         kernel_rpc_high_p999: rpc_p999(Priority::High),
         kernel_rpc_low_p999: rpc_p999(Priority::Low),
-        kv_puts: leader.kv_puts,
-        kv_gets: leader.kv_gets,
+        kv_puts: svc.committed_seq(),
     };
     match Arc::try_unwrap(svc) {
         Ok(svc) => svc.stop(),
@@ -214,14 +211,13 @@ fn main() {
                 "{{\"qos\":\"{mode_name}\",\"rate_ops_per_sec\":{rate:.0},\
                  \"gets\":{},\"puts\":{},\"max_replication_lag\":{},\
                  \"kernel_rpc_high_p999\":{},\"kernel_rpc_low_p999\":{},\
-                 \"kv_puts\":{},\"kv_gets\":{}}}",
+                 \"kv_puts\":{}}}",
                 r.gets.json(),
                 r.puts.json(),
                 r.max_lag,
                 r.kernel_rpc_high_p999,
                 r.kernel_rpc_low_p999,
                 r.kv_puts,
-                r.kv_gets,
             ));
         }
     }

@@ -5,12 +5,7 @@
 
 fn main() {
     let full = bench::full_mode();
-    let json_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let json_path = bench::json_path();
 
     let report = bench::figs::latency::latency(full);
     bench::print_table(

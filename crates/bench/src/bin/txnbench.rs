@@ -9,8 +9,8 @@
 //! takes a lock on the read path, so the read-heavy mix — where the
 //! lock design serializes readers of hot zipfian records — is where it
 //! should win; the write-heavy mix pays for
-//! optimism with validation aborts (counted from the `lt_stats` txn
-//! gauges) and is reported honestly.
+//! optimism with aborts (every `Conflict` a client's retry loop sees)
+//! and is reported honestly.
 //!
 //! Usage: `txnbench [--full] [--json]` — `--json` prints one JSON
 //! document (the CI artifact), otherwise aligned tables.
@@ -81,8 +81,8 @@ impl RunResult {
     }
 }
 
-/// OCC side: `lite-txn` transactions, retried on conflict. Abort counts
-/// come from the kernel txn gauges.
+/// OCC side: `lite-txn` transactions, retried on conflict. Each client
+/// counts the conflicts its own retry loop sees.
 fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
     let cluster = LiteCluster::start(NODES + 1).unwrap();
     cluster.set_qos_mode(mode);
@@ -115,6 +115,7 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
             let mut ctx = Ctx::new();
             let table = TxnTable::open(&mut h, &mut ctx, "txnbench.occ").unwrap();
             let start = ctx.now();
+            let mut aborts = 0u64;
             for op in 0..ops {
                 let (a, b, ro) = gen_op(&cdf, (t as u64) << 32 | op as u64, read_pct);
                 // Bounded OCC retry loop (the standard client shape).
@@ -129,15 +130,14 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
                     match txn.commit(&mut h, &mut ctx) {
                         Ok(()) => break,
                         Err(TxnError::Conflict { .. }) => {
+                            aborts += 1;
                             ctx.work(200 << attempt.min(4));
                         }
                         Err(e) => panic!("occ: {e}"),
                     }
                 }
             }
-            let elapsed = ctx.now() - start;
-            let ks = h.lt_stats().kernel;
-            (elapsed, ks.txn_aborts)
+            (ctx.now() - start, aborts)
         }));
     }
     let mut elapsed_ns = 0u64;

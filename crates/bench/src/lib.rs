@@ -26,3 +26,11 @@ pub use table::{print_table, Row};
 pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
+
+/// The path after `--json` in the CLI args, if any: where a bench
+/// writes its JSON report.
+pub fn json_path() -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != "--json");
+    args.next()?;
+    args.next()
+}

@@ -370,9 +370,7 @@ impl KvService {
                 h.register_rpc(spec.fn_get()).expect("register GET");
                 log_ready.wait();
                 ready.wait();
-                serve_leader(
-                    &cluster, &spec, &stop, &state, &mut h, &mut ctx, &log, &mut store,
-                );
+                serve_leader(&spec, &stop, &state, &mut h, &mut ctx, &log, &mut store);
             })
         });
 
@@ -394,9 +392,7 @@ impl KvService {
                 h.register_rpc(spec.fn_repl()).expect("register REPL");
                 h.register_rpc(spec.fn_get()).expect("register GET");
                 ready.wait();
-                serve_follower(
-                    &cluster, &spec, &stop, &state, &mut h, &mut ctx, &log, &mut store,
-                );
+                serve_follower(&spec, &stop, &state, &mut h, &mut ctx, &log, &mut store);
             }));
         }
 
@@ -474,9 +470,7 @@ impl KvService {
 /// Poll backoff when a service thread finds its queues empty.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
-#[allow(clippy::too_many_arguments)]
 fn serve_leader(
-    cluster: &Arc<LiteCluster>,
     spec: &KvSpec,
     stop: &AtomicBool,
     state: &ReplicaState,
@@ -485,7 +479,6 @@ fn serve_leader(
     log: &LiteLog,
     store: &mut Store,
 ) {
-    let kernel = Arc::clone(cluster.kernel(spec.leader));
     while !stop.load(Ordering::Acquire) {
         let mut busy = false;
         // Writes: order through the log, apply locally, ack with seq.
@@ -501,7 +494,6 @@ fn serve_leader(
                             state
                                 .next_off
                                 .store(off + update_record_size(key, value), Ordering::Release);
-                            kernel.note_kv_put();
                             let mut r = vec![PUT_OK];
                             r.extend_from_slice(&seq.to_le_bytes());
                             r
@@ -515,7 +507,7 @@ fn serve_leader(
             };
             let _ = h.lt_reply_rpc(ctx, &call, &reply);
         }
-        busy |= serve_gets(spec, state, &kernel, h, ctx, store);
+        busy |= serve_gets(spec, state, h, ctx, store);
         if !busy {
             std::thread::sleep(IDLE_SLEEP);
         }
@@ -527,7 +519,6 @@ fn serve_leader(
 fn serve_gets(
     spec: &KvSpec,
     state: &ReplicaState,
-    kernel: &lite::LiteKernel,
     h: &mut LiteHandle,
     ctx: &mut Ctx,
     store: &Store,
@@ -535,7 +526,6 @@ fn serve_gets(
     let mut busy = false;
     while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, spec.fn_get()) {
         busy = true;
-        kernel.note_kv_get();
         let applied = state.applied.load(Ordering::Acquire);
         let reply = match call.input.get(0..8) {
             Some(need) => {
@@ -568,9 +558,7 @@ fn serve_gets(
     busy
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_follower(
-    cluster: &Arc<LiteCluster>,
     spec: &KvSpec,
     stop: &AtomicBool,
     state: &ReplicaState,
@@ -579,7 +567,6 @@ fn serve_follower(
     log: &LiteLog,
     store: &mut Store,
 ) {
-    let kernel = Arc::clone(cluster.kernel(state.node));
     let delay = spec.apply_delay(state.node);
     let mut idle_rounds = 0u32;
     while !stop.load(Ordering::Acquire) {
@@ -599,7 +586,7 @@ fn serve_follower(
             r.extend_from_slice(&state.next_off.load(Ordering::Acquire).to_le_bytes());
             let _ = h.lt_reply_rpc(ctx, &call, &r);
         }
-        busy |= serve_gets(spec, state, &kernel, h, ctx, store);
+        busy |= serve_gets(spec, state, h, ctx, store);
         if busy {
             idle_rounds = 0;
             continue;
@@ -705,7 +692,6 @@ fn run_replicator(
     let mut ctx = Ctx::new();
     let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)
         .expect("replicator log open");
-    let kernel = Arc::clone(cluster.kernel(spec.leader));
     let n = spec.followers.len();
     let mut acked = vec![0u64; n]; // seq each follower acknowledged
     let mut acked_off = vec![0u64; n]; // their matching log offsets
@@ -747,7 +733,7 @@ fn run_replicator(
             idle_rounds += 1;
             let trailing = n > 0 && acked.iter().any(|&a| a < committed);
             if !trailing || !idle_rounds.is_multiple_of(20) {
-                publish_lag(lag, &kernel, committed, &acked, n);
+                publish_lag(lag, committed, &acked, n);
                 std::thread::sleep(IDLE_SLEEP);
                 continue;
             }
@@ -782,7 +768,7 @@ fn run_replicator(
                 }
             }
         }
-        publish_lag(lag, &kernel, committed, &acked, n);
+        publish_lag(lag, committed, &acked, n);
         // Ack-aware cleaning: reclaim only what every follower has
         // durably applied. A dead follower pins the log; staleness is
         // bounded by the log capacity (DESIGN.md §15).
@@ -798,21 +784,13 @@ fn run_replicator(
     }
 }
 
-fn publish_lag(
-    lag: &AtomicU64,
-    kernel: &lite::LiteKernel,
-    committed: u64,
-    acked: &[u64],
-    n: usize,
-) {
+fn publish_lag(lag: &AtomicU64, committed: u64, acked: &[u64], n: usize) {
     let slowest = if n == 0 {
         committed
     } else {
         acked.iter().copied().min().unwrap_or(0)
     };
-    let cur = committed.saturating_sub(slowest);
-    lag.store(cur, Ordering::Release);
-    kernel.set_kv_replication_lag(cur);
+    lag.store(committed.saturating_sub(slowest), Ordering::Release);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,12 +91,8 @@ fn put_get_roundtrip_on_every_replica() {
         assert_eq!(w[0].next, w[1].offset);
     }
 
-    // The service feeds the kernel gauges, and they surface in the
-    // stats JSON export.
-    let leader_stats = cluster.kernel(1).stats();
-    assert_eq!(leader_stats.kv_puts, (n + 1) as u64);
-    let json = cluster.attach(1).unwrap().lt_stats().to_json();
-    assert!(json.contains("\"kv_puts\":21"), "missing gauge: {json}");
+    // Every put, the overwrite included, committed exactly once.
+    assert_eq!(svc.committed_seq(), (n + 1) as u64);
     svc.stop();
 }
 
@@ -146,7 +142,6 @@ fn paused_follower_bounds_staleness_not_availability() {
         eventually(Duration::from_secs(10), || svc.replication_lag() > 0),
         "lag gauge never rose"
     );
-    assert!(cluster.kernel(1).stats().kv_replication_lag > 0);
 
     // Resume: the follower recovers from the log and the lag drains.
     svc.resume_follower(2);

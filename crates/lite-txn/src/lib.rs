@@ -24,10 +24,9 @@
 //!   a sorted run with an O(1)-write append fast path, transactional
 //!   binary-search lookups, and range scans.
 //!
-//! Commits and aborts are reported to the kernel's stats surface
-//! (`txn_commits` / `txn_aborts` / `txn_validation_fails` in
-//! `lt_stats()`), and [`TxnTable::arm_txn_log`] records whole
-//! transactions for `lite::verify`'s txn-level serializability checker.
+//! Each commit's outcome is the [`TxnResult`] its caller gets back, and
+//! [`TxnTable::arm_txn_log`] records whole transactions for
+//! `lite::verify`'s txn-level serializability checker.
 
 pub mod index;
 pub mod map;

@@ -827,7 +827,6 @@ impl Txn<'_> {
             &self.writes,
             TxnOutcome::Aborted,
         );
-        h.kernel().note_txn_abort(false);
     }
 
     /// Commits: locks the write set, validates the read set, decides,
@@ -857,7 +856,6 @@ impl Txn<'_> {
                 &this.writes,
                 TxnOutcome::Aborted,
             );
-            h.kernel().note_txn_abort(validation);
             Err(TxnError::Conflict { validation })
         };
 
@@ -875,7 +873,6 @@ impl Txn<'_> {
                 &self.writes,
                 TxnOutcome::Committed,
             );
-            h.kernel().note_txn_commit();
             return Ok(());
         }
         if self.writes.len() > t.spec.max_writes {
@@ -1040,7 +1037,6 @@ impl Txn<'_> {
             &self.writes,
             TxnOutcome::Committed,
         );
-        h.kernel().note_txn_commit();
         Ok(())
     }
 
@@ -1055,7 +1051,6 @@ impl Txn<'_> {
             &self.writes,
             TxnOutcome::Indeterminate,
         );
-        h.kernel().note_txn_abort(false);
         Err(TxnError::Indeterminate)
     }
 }

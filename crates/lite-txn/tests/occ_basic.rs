@@ -1,5 +1,5 @@
 //! Core OCC semantics: atomic visibility, read-your-writes, conflicts,
-//! validation, and the stats surface.
+//! validation, and the outcomes commits report.
 
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ fn explicit_abort_leaves_no_trace() {
 }
 
 #[test]
-fn stats_gauges_count_commits_and_aborts() {
+fn commit_results_report_commits_and_aborts() {
     let cluster = start(2);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
@@ -161,23 +161,26 @@ fn stats_gauges_count_commits_and_aborts() {
 
     let mut a = t.begin();
     a.write(0, &1u64.to_le_bytes()).unwrap();
-    a.commit(&mut h, &mut ctx).unwrap();
+    assert_eq!(a.commit(&mut h, &mut ctx), Ok(()));
 
     let mut ro = t.begin();
     let _ = ro.read(&mut h, &mut ctx, 0).unwrap();
     let mut w = t.begin();
     w.write(0, &2u64.to_le_bytes()).unwrap();
-    w.commit(&mut h, &mut ctx).unwrap();
-    let _ = ro.commit(&mut h, &mut ctx); // validation abort
+    assert_eq!(w.commit(&mut h, &mut ctx), Ok(()));
+    // The read-only transaction's snapshot went stale under the writer.
+    assert_eq!(
+        ro.commit(&mut h, &mut ctx),
+        Err(TxnError::Conflict { validation: true })
+    );
 
     let mut e = t.begin();
     e.write(1, &3u64.to_le_bytes()).unwrap();
     e.abort(&mut h, &mut ctx); // explicit abort
-
-    let ks = h.lt_stats().kernel;
-    assert_eq!(ks.txn_commits, 2);
-    assert_eq!(ks.txn_aborts, 2);
-    assert_eq!(ks.txn_validation_fails, 1);
+    let mut r = t.begin();
+    assert_eq!(u64s(&r.read(&mut h, &mut ctx, 1).unwrap()), 0);
+    assert_eq!(u64s(&r.read(&mut h, &mut ctx, 0).unwrap()), 2);
+    assert_eq!(r.commit(&mut h, &mut ctx), Ok(()));
 }
 
 #[test]

@@ -33,6 +33,7 @@ use rnic::NodeId;
 use simnet::{Ctx, Nanos};
 use smem::Chunk;
 
+use crate::config::{MAX_RPC_PAYLOAD, RPC_META_NS, SYSCALL_CROSSING_NS};
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::Op;
 use crate::kernel::{
@@ -255,16 +256,15 @@ impl LiteHandle {
         ctx: &mut Ctx,
         body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<T>,
     ) -> LiteResult<T> {
-        let crossing = self.kernel.config.syscall_crossing_ns;
         if self.user_level {
-            ctx.work(crossing);
+            ctx.work(SYSCALL_CROSSING_NS);
         }
         let out = body(self, ctx);
         // With the §5.2 optimizations the return path is observed through
         // the shared page — no further crossing. The ablation restores
         // the full syscall return plus a re-entry to fetch results.
         if self.user_level && !self.kernel.config.fast_syscalls {
-            ctx.work(2 * crossing);
+            ctx.work(2 * SYSCALL_CROSSING_NS);
         }
         out
     }
@@ -321,13 +321,13 @@ impl LiteHandle {
         oneway: bool,
     ) -> LiteResult<Vec<u8>> {
         let cfg = self.kernel.config.clone();
-        if payload.len() > cfg.max_rpc_payload {
+        if payload.len() > MAX_RPC_PAYLOAD {
             return Err(LiteError::TooLarge {
                 len: payload.len(),
-                max: cfg.max_rpc_payload,
+                max: MAX_RPC_PAYLOAD,
             });
         }
-        ctx.work(cfg.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let span_start = ctx.now();
         let total = HEADER_BYTES as u64 + payload.len() as u64;
         let r = self.kernel.reserve_ring(ctx, server, total)?;
@@ -1109,7 +1109,7 @@ impl LiteHandle {
         let client = inc.hdr.src_node as NodeId;
         let input = self.kernel.read_ring_payload(client, &inc)?;
         ctx.work(self.kernel.fabric().cost().memcpy_time(input.len() as u64));
-        ctx.work(self.kernel.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         // For remote two-way calls with batching on, defer the
         // ring-release head update: the reply path chains it with the
         // reply into one doorbell batch (one post for §5.1 steps e+f).
@@ -1161,7 +1161,7 @@ impl LiteHandle {
     }
 
     fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
-        ctx.work(self.kernel.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let staged = self.stage(output)?;
         let chunks = [Chunk {
             addr: staged,
@@ -1236,7 +1236,7 @@ impl LiteHandle {
         }
         self.syscall(ctx, |this, ctx| {
             let cfg = this.kernel.config.clone();
-            ctx.work(cfg.rpc_meta_ns);
+            ctx.work(RPC_META_NS);
             // Stage input once; carve one reply cell per destination out of
             // the persistent multicast scratch.
             let cell = max_reply.max(1);

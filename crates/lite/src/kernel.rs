@@ -337,42 +337,6 @@ impl LiteKernel {
         self.counters.count_lock_unwind();
     }
 
-    /// Counts a committed OCC transaction. Public: the transaction layer
-    /// (`lite-txn`) lives outside the kernel, entirely on the `lt_*`
-    /// API, and reports outcomes through these gauges so they show up in
-    /// [`LiteKernel::lt_stats`] next to the datapath counters.
-    pub fn note_txn_commit(&self) {
-        self.counters.count_txn_commit();
-    }
-
-    /// Counts an aborted OCC transaction; `validation_fail` marks the
-    /// aborts caused by read-set validation (the OCC conflict signal),
-    /// as opposed to lock conflicts, faults, or explicit aborts.
-    pub fn note_txn_abort(&self, validation_fail: bool) {
-        self.counters.count_txn_abort(validation_fail);
-    }
-
-    /// Counts a KV write applied by a `lite-kv` replica on this node.
-    /// Public for the same reason as [`LiteKernel::note_txn_commit`]:
-    /// the service layer lives outside the kernel, entirely on the
-    /// `lt_*` API, and reports through these gauges so its traffic shows
-    /// up in [`LiteKernel::lt_stats`] next to the datapath counters.
-    pub fn note_kv_put(&self) {
-        self.counters.count_kv_put();
-    }
-
-    /// Counts a KV read served by a `lite-kv` replica on this node.
-    pub fn note_kv_get(&self) {
-        self.counters.count_kv_get();
-    }
-
-    /// Publishes the `lite-kv` leader's current replication lag
-    /// (committed writes minus the slowest follower's acknowledged seq).
-    /// A gauge — each call overwrites the previous value.
-    pub fn set_kv_replication_lag(&self, lag: u64) {
-        self.counters.set_kv_replication_lag(lag);
-    }
-
     /// Free bytes in this node's kernel scratch allocator (staging
     /// cells, reply buffers, ring space). A leak detector for tests:
     /// any `lt_*` call that returns — successfully or not — must leave

@@ -30,7 +30,7 @@ use transport::TcpCostModel;
 use super::chunkio::{read_chunks, write_chunks};
 use super::stats::RetryCounters;
 use super::LiteKernel;
-use crate::config::LiteConfig;
+use crate::config::{LiteConfig, MAP_CHECK_NS, RETRY_MAX_BACKOFF_NS};
 use crate::directory::ClusterDirectory;
 use crate::error::{LiteError, LiteResult};
 use crate::observe::{EventKind, Observability, OpClass};
@@ -207,7 +207,6 @@ struct PeerHealth {
 pub struct RnicDataPath {
     fabric: Arc<IbFabric>,
     node: NodeId,
-    map_check_ns: Nanos,
     batch: bool,
     global_lkey: u32,
     /// Cluster membership: peer rkeys, QoS views, and memory managers
@@ -231,7 +230,6 @@ pub struct RnicDataPath {
     alloc: Arc<Mutex<PhysAllocator>>,
     retry_enabled: bool,
     retry_base_ns: Nanos,
-    retry_max_backoff_ns: Nanos,
     peer_dead_threshold: u32,
     op_timeout: Duration,
     health: Vec<PeerHealth>,
@@ -274,7 +272,6 @@ impl RnicDataPath {
         RnicDataPath {
             fabric,
             node,
-            map_check_ns: config.map_check_ns,
             batch: config.batch_posting,
             global_lkey,
             dir,
@@ -287,7 +284,6 @@ impl RnicDataPath {
             alloc,
             retry_enabled: config.retry_enabled,
             retry_base_ns: config.retry_base_ns.max(1),
-            retry_max_backoff_ns: config.retry_max_backoff_ns.max(1),
             peer_dead_threshold: config.peer_dead_threshold.max(1),
             op_timeout: config.op_timeout,
             health: (0..peers).map(|_| PeerHealth::default()).collect(),
@@ -388,26 +384,20 @@ impl RnicDataPath {
     }
 
     /// Feeds the target node's memory manager one access: promotes the
-    /// touched chunk in its LRU and adds heat from this node for the
-    /// rebalancer. Called once per op (not per retry attempt).
+    /// touched chunk in its LRU. Called once per op (not per retry
+    /// attempt).
     fn touch_mm(&self, op: &Op) {
-        let (node, addr, len) = match op {
+        let (node, addr) = match op {
             Op::Write {
-                dst_node,
-                dst_addr,
-                len,
-                ..
-            } => (*dst_node, *dst_addr, *len as u64),
+                dst_node, dst_addr, ..
+            } => (*dst_node, *dst_addr),
             Op::Read {
-                src_node,
-                src_addr,
-                len,
-                ..
-            } => (*src_node, *src_addr, *len as u64),
-            Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr, 8),
+                src_node, src_addr, ..
+            } => (*src_node, *src_addr),
+            Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr),
         };
         if let Some(mm) = self.dir.mm(node) {
-            mm.touch(addr, len, self.node);
+            mm.touch(addr);
         }
     }
 
@@ -659,7 +649,7 @@ impl RnicDataPath {
                     // A little host-wall pacing so a down peer does not
                     // turn the bounded wait into a hot spin.
                     std::thread::sleep(Duration::from_nanos(backoff.min(100_000)));
-                    backoff = (backoff * 2).min(self.retry_max_backoff_ns);
+                    backoff = (backoff * 2).min(RETRY_MAX_BACKOFF_NS);
                 }
                 Err(e) => {
                     self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
@@ -749,7 +739,7 @@ impl RnicDataPath {
                     ..
                 } => {
                     if imm.is_none() {
-                        ctx.work(self.map_check_ns);
+                        ctx.work(MAP_CHECK_NS);
                     }
                     self.qos_before(ctx, prio, dst, *len as u64);
                     wrs.push(ChainWr::Write(WritePost {
@@ -773,7 +763,7 @@ impl RnicDataPath {
                 } => (*addr, AtomicKind::CmpSwap(*expect, *new)),
                 Op::Read { .. } => unreachable!("chains carry writes and atomics only"),
             };
-            ctx.work(self.map_check_ns);
+            ctx.work(MAP_CHECK_NS);
             wrs.push(ChainWr::Atomic {
                 remote: RemoteAddr {
                     rkey: self.rkey(dst)?,
@@ -827,7 +817,7 @@ impl RnicDataPath {
                     // write-imm goes through the kernel's RPC layer, not
                     // here — it must land in the shared receive CQ.)
                     debug_assert!(imm.is_none(), "loopback imm handled by the RPC layer");
-                    ctx.work(self.map_check_ns);
+                    ctx.work(MAP_CHECK_NS);
                     let cost = self.fabric.cost();
                     let data = read_chunks(self.mem(), src, *len)?;
                     self.mem().write(*dst_addr, &data)?;
@@ -841,7 +831,7 @@ impl RnicDataPath {
                 if imm.is_none() {
                     // Write-imm paths pay their (cheaper) mapping cost as
                     // part of RPC metadata handling instead.
-                    ctx.work(self.map_check_ns);
+                    ctx.work(MAP_CHECK_NS);
                 }
                 self.qos_before(ctx, prio, *dst_node, *len as u64);
                 let qp = self.qp_to(*dst_node, prio)?;
@@ -886,7 +876,7 @@ impl RnicDataPath {
                 len,
             } => {
                 let start = ctx.now();
-                ctx.work(self.map_check_ns);
+                ctx.work(MAP_CHECK_NS);
                 if *src_node == self.node {
                     let cost = self.fabric.cost();
                     let mut data = vec![0u8; *len];
@@ -924,7 +914,7 @@ impl RnicDataPath {
                 })
             }
             Op::FetchAdd { node, addr, delta } => {
-                ctx.work(self.map_check_ns);
+                ctx.work(MAP_CHECK_NS);
                 if *node == self.node {
                     ctx.work(LOCAL_ATOMIC_NS);
                     // Stamped apply: the completion stamp is taken inside
@@ -961,7 +951,7 @@ impl RnicDataPath {
                 expect,
                 new,
             } => {
-                ctx.work(self.map_check_ns);
+                ctx.work(MAP_CHECK_NS);
                 if *node == self.node {
                     ctx.work(LOCAL_ATOMIC_NS);
                     let (value, stamp) =
@@ -1110,9 +1100,9 @@ impl RnicDataPath {
         // in a tracked LMR chunk: the physical address changes when the
         // chunk migrates, but the (LMR id, offset) identity does not — so
         // histories on a cell stay one linearizable history across
-        // eviction, fetch-back, and rebalance. Untracked cells (lock
-        // words, budget-0 runs) keep their physical key, byte-identical
-        // to the pre-tiering behavior.
+        // eviction and fetch-back. Untracked cells (lock words, budget-0
+        // runs) keep their physical key, byte-identical to the
+        // pre-tiering behavior.
         let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
             Some((id, off)) => crate::verify::Key::LogicalCell {
                 node: id.node,

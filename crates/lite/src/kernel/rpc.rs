@@ -18,7 +18,7 @@ use smem::Chunk;
 
 use super::datapath::{DataPath, Op};
 use super::{LiteKernel, FN_MSG, USER_FUNC_MIN};
-use crate::config::LiteConfig;
+use crate::config::{LiteConfig, ADAPTIVE_SPIN_NS, IMM_DISPATCH_NS, RPC_META_NS};
 use crate::error::{LiteError, LiteResult};
 use crate::qos::Priority;
 use crate::ring::{ClientRing, Reservation, ServerRing};
@@ -78,7 +78,7 @@ impl CallSlot {
         let gap = r.stamp.saturating_sub(ctx.now());
         if cfg.adaptive_poll {
             // Busy-check briefly, then sleep until completion.
-            ctx.cpu.charge(gap.min(cfg.adaptive_spin_ns));
+            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
         } else {
             ctx.cpu.charge(gap);
         }
@@ -342,7 +342,7 @@ impl LiteKernel {
         let inc = q.pop(timeout).ok_or(LiteError::Timeout)?;
         let gap = inc.stamp.saturating_sub(ctx.now());
         if self.config.adaptive_poll {
-            ctx.cpu.charge(gap.min(self.config.adaptive_spin_ns));
+            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
         } else {
             ctx.cpu.charge(gap);
         }
@@ -544,7 +544,7 @@ impl LiteKernel {
                     }
                 }
             }
-            ctx.work(self.config.imm_dispatch_ns);
+            ctx.work(IMM_DISPATCH_NS);
             match Imm::decode(wc.imm.unwrap_or(0)) {
                 Imm::Request { granule } => {
                     self.counters.count_rpc();
@@ -613,7 +613,7 @@ impl LiteKernel {
             Err(_) => return,
         };
         let _ = self.release_ring(ctx, client, &inc);
-        ctx.work(self.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let route = ReplyRoute::of_hdr(&hdr);
         match self.kernel_service(ctx, &hdr, &payload) {
             Ok(Some(resp)) => {

@@ -50,24 +50,6 @@ pub struct KernelStats {
     /// unreachable, unwind failed, or a release grant undeliverable) —
     /// the lock involved should be considered poisoned.
     pub sync_leaks: u64,
-    /// OCC transactions committed through this node (reported by the
-    /// `lite-txn` layer via [`crate::LiteKernel::note_txn_commit`]).
-    pub txn_commits: u64,
-    /// OCC transactions aborted (lock conflict, validation failure,
-    /// explicit abort, or indeterminate outcome).
-    pub txn_aborts: u64,
-    /// The subset of aborts caused by read-set validation failure —
-    /// the OCC conflict signal proper.
-    pub txn_validation_fails: u64,
-    /// KV writes applied by a `lite-kv` replica on this node (reported
-    /// by the service layer via [`crate::LiteKernel::note_kv_put`]).
-    pub kv_puts: u64,
-    /// KV reads served by a `lite-kv` replica on this node.
-    pub kv_gets: u64,
-    /// Current replication lag of the `lite-kv` leader on this node:
-    /// committed writes minus the slowest follower's acknowledged seq.
-    /// A gauge (last stored value), not a monotonic counter.
-    pub kv_replication_lag: u64,
     /// Host-wall nanoseconds this node's boot (`finish_setup`) took.
     pub boot_ns: u64,
     /// Host-wall nanoseconds spent wiring peer pairs lazily (shared QP
@@ -88,12 +70,6 @@ pub(crate) struct KernelCounters {
     pub(crate) cleanup_failures: AtomicU64,
     pub(crate) lock_unwinds: AtomicU64,
     pub(crate) sync_leaks: AtomicU64,
-    pub(crate) txn_commits: AtomicU64,
-    pub(crate) txn_aborts: AtomicU64,
-    pub(crate) txn_validation_fails: AtomicU64,
-    pub(crate) kv_puts: AtomicU64,
-    pub(crate) kv_gets: AtomicU64,
-    pub(crate) kv_replication_lag: AtomicU64,
 }
 
 /// Recovery-layer counters, owned by the node's datapath (the retry
@@ -145,29 +121,6 @@ impl KernelCounters {
         self.sync_leaks.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_txn_commit(&self) {
-        self.txn_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_txn_abort(&self, validation_fail: bool) {
-        self.txn_aborts.fetch_add(1, Ordering::Relaxed);
-        if validation_fail {
-            self.txn_validation_fails.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn count_kv_put(&self) {
-        self.kv_puts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_kv_get(&self) {
-        self.kv_gets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_kv_replication_lag(&self, lag: u64) {
-        self.kv_replication_lag.store(lag, Ordering::Relaxed);
-    }
-
     /// Snapshot with the QP count and recovery counters supplied by the
     /// kernel (which owns the pool tables and the datapath).
     pub(crate) fn snapshot(&self, qps: usize, retry: Option<&RetryCounters>) -> KernelStats {
@@ -189,12 +142,6 @@ impl KernelCounters {
             cleanup_failures: r(&self.cleanup_failures),
             lock_unwinds: r(&self.lock_unwinds),
             sync_leaks: r(&self.sync_leaks),
-            txn_commits: r(&self.txn_commits),
-            txn_aborts: r(&self.txn_aborts),
-            txn_validation_fails: r(&self.txn_validation_fails),
-            kv_puts: r(&self.kv_puts),
-            kv_gets: r(&self.kv_gets),
-            kv_replication_lag: r(&self.kv_replication_lag),
             // Gauges owned by the kernel/datapath; folded in by
             // `LiteKernel::stats` after this snapshot.
             boot_ns: 0,
@@ -218,14 +165,6 @@ mod tests {
         c.count_cleanup_failure();
         c.count_lock_unwind();
         c.count_sync_leak();
-        c.count_txn_commit();
-        c.count_txn_abort(true);
-        c.count_txn_abort(false);
-        c.count_kv_put();
-        c.count_kv_put();
-        c.count_kv_get();
-        c.set_kv_replication_lag(9);
-        c.set_kv_replication_lag(4);
         let s = c.snapshot(6, None);
         assert_eq!(s.lt_writes, 3);
         assert_eq!(s.lt_reads, 1);
@@ -236,13 +175,6 @@ mod tests {
         assert_eq!(s.cleanup_failures, 1);
         assert_eq!(s.lock_unwinds, 1);
         assert_eq!(s.sync_leaks, 1);
-        assert_eq!(s.txn_commits, 1);
-        assert_eq!(s.txn_aborts, 2);
-        assert_eq!(s.txn_validation_fails, 1);
-        assert_eq!(s.kv_puts, 2);
-        assert_eq!(s.kv_gets, 1);
-        // The lag is a gauge: the last stored value wins.
-        assert_eq!(s.kv_replication_lag, 4);
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub struct LhEntry {
     /// Set when the master freed/moved the LMR under us.
     pub stale: bool,
     /// Set when the memory manager migrated chunks under us (eviction,
-    /// fetch-back, rebalance). Unlike `stale`, the handle is still good —
+    /// fetch-back). Unlike `stale`, the handle is still good —
     /// the API layer transparently re-fetches the location from the
     /// master and clears this flag.
     pub relocated: bool,

@@ -96,7 +96,7 @@ pub enum Key {
     /// owning LMR and the cell's byte offset within it. Used for cells
     /// in tracked (tierable) LMR chunks: the physical address changes
     /// when the chunk migrates, this key does not, so the cell's
-    /// history stays joined across eviction/fetch-back/rebalance.
+    /// history stays joined across eviction and fetch-back.
     LogicalCell {
         /// LMR-id node half.
         node: u32,

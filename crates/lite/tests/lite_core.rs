@@ -597,7 +597,7 @@ fn error_returns_charge_the_whole_syscall() {
         (cluster, deltas)
     };
 
-    let crossing = LiteConfig::default().syscall_crossing_ns;
+    let crossing = lite::config::SYSCALL_CROSSING_NS;
     let (cluster, slow) = rpc_errors(false);
     let (_, fast) = rpc_errors(true);
     for (s, f) in slow.iter().zip(&fast) {

@@ -181,8 +181,9 @@ fn sw_pri_contention_separates_priority_histograms() {
     assert!(low.p99 > high.p99, "low tail must sit above the high tail");
 }
 
-/// The JSON export carries the documented schema: kernel counters,
-/// per-class cells keyed `class.prio`, peers, trace gauges, QoS mode.
+/// The JSON export carries the documented schema: kernel counters (and
+/// no app counters), per-class cells keyed `class.prio`, peers, trace
+/// gauges, QoS mode.
 #[test]
 fn stats_report_exports_json() {
     let cluster = LiteCluster::start(2).unwrap();
@@ -199,9 +200,6 @@ fn stats_report_exports_json() {
         "\"sample_rate\":1",
         "\"kernel\":{",
         "\"lt_writes\":",
-        "\"kv_puts\":",
-        "\"kv_gets\":",
-        "\"kv_replication_lag\":",
         "\"p999\":",
         "\"classes\":{",
         "\"write.high\":",
@@ -211,5 +209,18 @@ fn stats_report_exports_json() {
         "\"qos\":{\"mode\":\"none\"",
     ] {
         assert!(json.contains(key), "JSON export missing {key}: {json}");
+    }
+    // The kernel block knows no app: txn and KV outcomes live in their
+    // own crates.
+    let kernel = json
+        .split("\"kernel\":{")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("kernel block");
+    for app_key in ["\"txn_", "\"kv_"] {
+        assert!(
+            !kernel.contains(app_key),
+            "kernel block has {app_key}: {kernel}"
+        );
     }
 }
